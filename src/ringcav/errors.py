@@ -1,7 +1,16 @@
 """Exception types shared across the package.
 
-Each maps to a specific failure contract; the CLI translates them to exit
-codes (see cli.EXIT_CODES).
+Each maps to a specific failure contract; cli._execute translates them to
+exit codes:
+
+- 2, invalid input: NonPositiveRate, AmbiguousDrive, UnknownUnit,
+  StepTooCoarse, FinesseTooLow, and ValueError or OSError;
+- 3, solver failure: NoRealRoot, NumericalInstability, ModelEvaluationFailed;
+- 4, fit did not converge: NotConverged;
+- 5, degenerate fit: DegenerateFit;
+- 6, lock lost: LockLost.
+
+Other exceptions, DivergentDrive among them, are not caught there.
 """
 
 

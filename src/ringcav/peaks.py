@@ -12,7 +12,6 @@ therefore measured on the extinction signal 1 - T.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import find_peaks
 
 PROMINENCE_FRACTION = 0.01
 
@@ -53,6 +52,54 @@ def _quadratic_refine(x, y, idx):
     return float(x[idx] + shift * (x[idx] - x[idx - 1]))
 
 
+def find_peaks(y, prominence: float):
+    """Indices of the local maxima of y whose prominence is at least prominence.
+
+    Same indices as scipy.signal.find_peaks(y, prominence=prominence)[0]. A
+    run of equal samples is a maximum when both neighbouring runs are lower,
+    at the middle of the run (rounded down); endpoints never are. Walking
+    from a maximum to either side, a walk ends at the first higher sample
+    (or NaN, or the end of y); the maximum is kept when both walks pass a
+    sample v with y[peak] - v >= prominence.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("y must be 1-d")
+    n = y.size
+    if n < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    level = y[starts]
+    run = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[run] + starts[run + 1] - 1) // 2
+    # hi[j][i] and lo[j][i] hold the max and min of padded[i : i + 2**j]; the
+    # NaN at either end stops every walk there
+    padded = np.concatenate(([np.nan], y, [np.nan]))
+    hi, lo = [padded], [padded]
+    while 2 ** len(hi) <= n:
+        h = 2 ** (len(hi) - 1)
+        hi.append(np.maximum(hi[-1][:-h], hi[-1][h:]))
+        lo.append(np.minimum(lo[-1][:-h], lo[-1][h:]))
+    # all walks at once, left (sign -1) and right (+1) of every peak: step
+    # over the next 2**j samples, largest j first, when none is above the
+    # peak. Blocks of falling size add up to any walk length, so each walk
+    # ends just before its first higher sample, with low its minimum.
+    m = peaks.size
+    sign = np.repeat([-1, 1], m)
+    edge = np.concatenate((peaks, peaks)) + 1
+    top = padded[edge]
+    low = top
+    for j in range(len(hi) - 1, -1, -1):
+        h = 2 ** j
+        block = np.clip(np.where(sign > 0, edge + 1, edge - h), 0, hi[j].size - 1)
+        take = hi[j][block] <= top
+        edge = edge + take * sign * h
+        low = np.where(take, np.minimum(low, lo[j][block]), low)
+    # scipy's comparison; low <= top - prominence rounds differently
+    dropped = top - low >= prominence
+    return peaks[dropped[:m] & dropped[m:]]
+
+
 def find_local_maxima(x, y, prominence_fraction: float = PROMINENCE_FRACTION):
     """Refined positions of local maxima of y(x) above the prominence cut.
 
@@ -66,7 +113,7 @@ def find_local_maxima(x, y, prominence_fraction: float = PROMINENCE_FRACTION):
     if full_scale == 0.0:
         return np.empty(0)
     prominence = max(prominence_fraction * full_scale, _noise_prominence_floor(y))
-    idx, _ = find_peaks(y, prominence=prominence)
+    idx = find_peaks(y, prominence)
     return np.array([_quadratic_refine(x, y, i) for i in idx])
 
 

@@ -26,12 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
-from scipy.constants import h as H_PLANCK
 
 from .errors import DivergentDrive, NoRealRoot, NumericalInstability
 from .params import CavityParams, DriveParams, EnsembleParams
-from .units import TWO_PI
+from .units import C_VACUUM, H_PLANCK, TWO_PI
 
 #: relative residual bound every returned root must satisfy
 RESIDUAL_TOL = 1e-9
@@ -344,7 +342,6 @@ def spectrum(
     cavity: CavityParams,
     ensemble: EnsembleParams,
     drive: DriveParams,
-    lock_detunings: bool = True,
     atom_offset_hz: float = 0.0,
     policy: BranchPolicy = LOWEST,
 ):
@@ -354,11 +351,9 @@ def spectrum(
     ----------
     detuning_hz : array_like
         Monotone probe detuning axis in Hz (plain frequency).
-    lock_detunings : bool
-        True models the cavity resonance aligned with the atomic transition
-        (delta_atom = delta_cavity along the scan). False offsets the atomic
-        transition by atom_offset_hz from the cavity resonance. A nonzero
-        atom_offset_hz implies the independent condition.
+    atom_offset_hz : float
+        Atomic transition minus cavity resonance, in Hz; 0 aligns them
+        (delta_atom = delta_cavity along the scan).
     policy : BranchPolicy
         Branch selection; "follow_sweep" walks the grid in policy.direction
         and keeps the intensity branch continuous.
@@ -374,10 +369,7 @@ def spectrum(
         raise ValueError("detuning grid must be 1-d and strictly monotone")
     omega = TWO_PI * nu
     delta_c = omega / cavity.kappa
-    if lock_detunings and atom_offset_hz == 0.0:
-        delta_a = omega / ensemble.gamma_perp
-    else:
-        delta_a = (omega - TWO_PI * atom_offset_hz) / ensemble.gamma_perp
+    delta_a = (omega - TWO_PI * atom_offset_hz) / ensemble.gamma_perp
     y2 = drive_y2(drive, cavity, ensemble.n_sat)
     c = ensemble.cooperativity
     r = cavity.kappa_ratio

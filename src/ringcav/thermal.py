@@ -26,7 +26,7 @@ they are demonstration values chosen to show the phenomenology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,25 +64,6 @@ class ThermalParams:
 
 
 @dataclass(frozen=True)
-class ThermalState:
-    """Instantaneous simulation state.
-
-    resonance_offset: cavity resonance shift from cold (Hz), <= 0 while
-    heating is non-negative; heater_detuning: heater laser frequency minus
-    the shifted resonance (Hz); controller_integral: accumulated feedback (Hz).
-    """
-
-    resonance_offset: float = 0.0
-    heater_detuning: float = 0.0
-    controller_integral: float = 0.0
-
-    def __post_init__(self):
-        for name in ("resonance_offset", "heater_detuning", "controller_integral"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class LockConfig:
     """Lock-loop knobs.
 
@@ -93,7 +74,6 @@ class LockConfig:
 
     setpoint: float = 0.66
     gain_i: float = 1.0e9
-    probe_power: float = 140e-9
     heater_power: float = 2e-3
     dt: float = 2.5e-4
 
@@ -103,8 +83,8 @@ class LockConfig:
                 raise ValueError(f"{name} must be finite")
         if not (self.dt > 0):
             raise NonPositiveRate(f"dt must be > 0, got {self.dt!r}")
-        if not (self.probe_power >= 0 and self.heater_power >= 0):
-            raise NonPositiveRate("powers must be >= 0")
+        if not (self.heater_power >= 0):
+            raise NonPositiveRate(f"heater_power must be >= 0, got {self.heater_power!r}")
 
 
 def _check_dt(config: LockConfig, thermal: ThermalParams):
@@ -143,25 +123,6 @@ def relax(offset: float, p_circ: float, thermal: ThermalParams, dt: float) -> fl
     """One explicit-Euler step of the single-pole thermal response."""
     target = thermal.shift_coefficient * p_circ
     return offset + dt / thermal.tau_th * (target - offset)
-
-
-def step(state: ThermalState, thermal: ThermalParams, config: LockConfig,
-         cavity: CavityParams) -> ThermalState:
-    """Advance one dt with the heater laser frequency held fixed.
-
-    The laser frequency implied by the current state (offset + detuning)
-    stays put; the resonance relaxes toward the shift set by the current
-    circulating power, and the detuning is updated accordingly.
-    """
-    _check_dt(config, thermal)
-    heater_freq = state.resonance_offset + state.heater_detuning
-    p_circ = circulating_power(state.heater_detuning, config.heater_power, cavity)
-    new_offset = relax(state.resonance_offset, p_circ, thermal, config.dt)
-    return replace(
-        state,
-        resonance_offset=new_offset,
-        heater_detuning=heater_freq - new_offset,
-    )
 
 
 @dataclass(frozen=True)
@@ -390,7 +351,6 @@ def default_lock_config(cavity: CavityParams, thermal: ThermalParams | None = No
     return LockConfig(
         setpoint=1.0 - dip_depth(cavity) / 2.0,
         gain_i=1.0e9,
-        probe_power=140e-9,
         heater_power=2e-3,
         dt=thermal.tau_th / 40.0,
     )

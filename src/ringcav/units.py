@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 
-from scipy.constants import c as _C_VACUUM
-
 from .errors import UnknownUnit
 
 TWO_PI = 2.0 * math.pi
+
+#: speed of light (m/s) and Planck constant (J s), exact by the 2019 SI
+#: definition and equal to scipy.constants.c and .h
+C_VACUUM = 299792458.0
+H_PLANCK = 6.62607015e-34
 
 #: effective group index of the fiber loop, used only for the informational
 #: cavity length; the free spectral range is the authoritative quantity.
@@ -52,4 +55,4 @@ def roundtrip_time(fsr_hz: float) -> float:
 
 def cavity_length(fsr_hz: float, group_index: float = DEFAULT_GROUP_INDEX) -> float:
     """Informational loop length in meters, c/(n*FSR)."""
-    return _C_VACUUM / (group_index * fsr_hz)
+    return C_VACUUM / (group_index * fsr_hz)

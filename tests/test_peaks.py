@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks as scipy_find_peaks
 
 from ringcav import peaks
 
@@ -91,3 +94,47 @@ def test_measure_splitting_raises_on_single_dip():
     t = 1.0 - gaussian(x, 0.0, 1.5, 0.5)
     with pytest.raises(ValueError, match="expected 2"):
         peaks.measure_splitting(x, t)
+
+
+# ------------------------------------------- find_peaks against scipy's
+
+# integer levels give plateaus and ties; tenths give prominences whose
+# comparison with the cut depends on rounding
+samples = st.one_of(
+    st.lists(st.integers(-3, 3).map(float), max_size=60),
+    st.lists(st.integers(-30, 30).map(lambda k: k / 10.0), max_size=60),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=60),
+)
+
+
+def _assert_same_peaks(y, prominence):
+    np.testing.assert_array_equal(
+        peaks.find_peaks(y, prominence), scipy_find_peaks(y, prominence=prominence)[0]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=samples, data=st.data())
+def test_find_peaks_matches_scipy(values, data):
+    y = np.array(values, dtype=float)
+    exact = scipy_find_peaks(y, prominence=0.0)[1]["prominences"]
+    cuts = [0.0, data.draw(st.floats(0.0, 10.0))]
+    if exact.size:
+        cuts.append(float(data.draw(st.sampled_from(list(exact)))))
+    for cut in cuts:
+        _assert_same_peaks(y, cut)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_find_peaks_matches_scipy_on_long_signals(seed):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-20, 20, 4001)
+    noisy_dip = 0.5 / (1 + (x / 2) ** 2) + rng.normal(0, 0.01, x.size)
+    quantised_walk = np.round(np.cumsum(rng.normal(0, 0.01, x.size)), 2)
+    # one peak whose left walk needs all 3000 samples to reach its base
+    ramp = np.r_[np.linspace(0.0, 1.0, 3000), 2.0, np.linspace(1.0, -1.0, 1000)]
+    for y in (noisy_dip, quantised_walk, ramp):
+        exact = scipy_find_peaks(y, prominence=0.0)[1]["prominences"]
+        floor = max(0.01 * np.ptp(y), peaks._noise_prominence_floor(y))
+        for cut in (0.0, 0.05, floor, np.median(exact), np.max(exact)):
+            _assert_same_peaks(y, cut)

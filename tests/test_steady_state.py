@@ -103,6 +103,18 @@ def test_transmission_against_fixed_point_oracle(cavity):
             assert t_mine == pytest.approx(t_ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("y2", [1.0, 4.0, 8.0, 12.3])
+def test_fixed_point_oracle_agrees_with_bracketing_at_nominal_drives(cavity, y2):
+    # the fixed point's step stalls a few ulps above 1e-15 |X| at these
+    # drives; the two oracles share no code, so they check each other
+    r = cavity.kappa_ratio
+    x = oracles.field_fixed_point(np.sqrt(y2), 0.0, 0.0, 1.5)
+    t_field = oracles.transmission_from_field(x, np.sqrt(y2), r)
+    (u,) = oracles.intensity_roots_bracketing(y2, 0.0, 0.0, 1.5)
+    t_roots = abs(1.0 - 2.0 * r / (1.0 + 4.0 * 1.5 / (1.0 + 2.0 * u))) ** 2
+    assert t_field == pytest.approx(t_roots, abs=1e-12)
+
+
 def test_transmission_bounded_for_passive_cavity(cavity):
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from scipy.constants import c as c_vacuum
+from scipy.constants import h as h_planck
 
 from ringcav import units
 from ringcav.errors import UnknownUnit
@@ -38,3 +39,8 @@ def test_cavity_length_uses_group_index():
     # n L = c / FSR
     length = units.cavity_length(148e6, group_index=1.45)
     assert length * 1.45 == pytest.approx(c_vacuum / 148e6, rel=1e-12)
+
+
+def test_si_constants_equal_scipy_values():
+    assert units.C_VACUUM == c_vacuum
+    assert units.H_PLANCK == h_planck
