@@ -208,16 +208,17 @@ MODELS = {
 
 def saturation_curve(powers_w, cavity: CavityParams, ensemble: EnsembleParams,
                      policy: ss.BranchPolicy = ss.LOWEST):
-    """On-resonance transmission for each input power (delta_a = delta_c = 0)."""
+    """On-resonance transmission for each input power (delta_a = delta_c = 0).
+
+    policy is "lowest" or "highest"; follow_sweep raises ValueError, as in
+    steady_state.solve.
+    """
     powers = np.asarray(powers_w, dtype=float)
     if np.any(powers <= 0):
         raise ValueError("powers must be > 0")
     y2 = ss.drive_from_power(powers, cavity, ensemble.n_sat)
     roots, counts = ss._roots_grid(y2, 0.0, 0.0, ensemble.cooperativity)
-    if policy.mode == "highest":
-        u = np.take_along_axis(roots, counts[:, None] - 1, axis=1)[:, 0]
-    else:
-        u = roots[:, 0]
+    u = ss.select_branch(roots, counts, policy)
     return ss._transmission_from_u(u, 0.0, 0.0, ensemble.cooperativity, cavity.kappa_ratio)
 
 

@@ -9,17 +9,26 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FMT = "%.12g"
+#: rows formatted per write; bounds the text and Python floats held at once
+CHUNK_ROWS = 1024
 
 
 def write_columns_csv(path, header: list[str], columns: list) -> None:
+    """Header through csv.writer, then FLOAT_FMT rows with csv's CRLF line ends.
+
+    A formatted number never needs quoting, so rows are formatted a chunk at
+    a time from plain Python numbers and written with one call per chunk.
+    """
     cols = [np.asarray(c) for c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ValueError("columns differ in length")
+    row = ",".join([FLOAT_FMT] * len(cols)) + "\r\n"
+    n = len(cols[0]) if cols else 0
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*cols):
-            w.writerow([FLOAT_FMT % v for v in row])
+        csv.writer(fh).writerow(header)
+        for i in range(0, n, CHUNK_ROWS):
+            chunk = zip(*(c[i:i + CHUNK_ROWS].tolist() for c in cols))
+            fh.write("".join([row % values for values in chunk]))
 
 
 def read_columns_csv(path) -> dict:

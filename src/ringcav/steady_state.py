@@ -245,6 +245,41 @@ def _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio):
     return np.abs(t_amp) ** 2
 
 
+def select_branch(roots, counts, policy: BranchPolicy, sweep: bool = False):
+    """Intensity u on the branch policy picks, for each row of _roots_grid's output.
+
+    follow_sweep needs rows that form a sweep (sweep=True, as spectrum()
+    passes); anywhere else it raises ValueError.
+    """
+    if policy.mode == "lowest":
+        return roots[:, 0]
+    if policy.mode == "highest":
+        return np.take_along_axis(roots, counts[:, None] - 1, axis=1)[:, 0]
+    if not sweep:
+        raise ValueError("follow_sweep requires a sweep; use spectrum()")
+    return _follow(roots, counts, policy.direction)
+
+
+def _follow(roots, counts, direction):
+    """Walk the grid in sweep order, each point taking the root nearest the last.
+
+    A point with one root takes it whatever came before, so only points with
+    several roots are walked; the sweep's first point starts from its lowest
+    root.
+    """
+    u = roots[:, 0].copy()
+    walk = np.flatnonzero(counts > 1)
+    back = -1 if direction == "up" else 1  # grid offset of the point visited before
+    if direction == "down":
+        walk = walk[::-1]
+    for i, row, c in zip(walk.tolist(), roots[walk].tolist(), counts[walk].tolist()):
+        avail = row[:c]
+        j = i + back
+        prev = float(u[j]) if 0 <= j < u.size else avail[0]
+        u[i] = min(avail, key=lambda v: abs(v - prev))
+    return u
+
+
 def solve(y, delta_c, delta_a, cooperativity, kappa_ratio, policy: BranchPolicy = LOWEST):
     """Full steady-state solution for one parameter tuple.
 
@@ -254,10 +289,9 @@ def solve(y, delta_c, delta_a, cooperativity, kappa_ratio, policy: BranchPolicy 
     """
     if not (y > 0.0):
         raise DivergentDrive("y must be > 0 here; use weak_transmission for the y -> 0 limit")
-    roots = solve_intensity(y, delta_c, delta_a, cooperativity)
-    if policy.mode == "follow_sweep":
-        raise ValueError("follow_sweep requires a sweep; use spectrum()")
-    u = roots[-1] if policy.mode == "highest" else roots[0]
+    roots, counts = _roots_grid(np.float64(y) ** 2, delta_c, delta_a, cooperativity)
+    u = select_branch(roots, counts, policy)[0]
+    roots = roots[0, : int(counts[0])]
     x = field_from_root(y, delta_c, delta_a, cooperativity, u)
     t = float(np.abs(1.0 - (2j / y) * kappa_ratio * x) ** 2)
     return SteadyStateSolution(tuple(roots), float(u), complex(x), t)
@@ -379,18 +413,5 @@ def spectrum(
         roots, counts = _roots_grid(np.full_like(nu, y2), delta_c, delta_a, c)
     except NumericalInstability as exc:
         raise NumericalInstability(f"{exc} (in spectrum sweep)") from exc
-    if policy.mode == "lowest":
-        u = roots[:, 0]
-    elif policy.mode == "highest":
-        u = np.take_along_axis(roots, counts[:, None] - 1, axis=1)[:, 0]
-    else:
-        order = range(nu.size) if policy.direction == "up" else range(nu.size - 1, -1, -1)
-        u = np.empty(nu.size)
-        prev = None
-        for i in order:
-            avail = roots[i, : counts[i]]
-            if prev is None:
-                prev = avail[0]
-            prev = avail[np.argmin(np.abs(avail - prev))]
-            u[i] = prev
+    u = select_branch(roots, counts, policy, sweep=True)
     return _transmission_from_u(u, delta_c, delta_a, c, r)

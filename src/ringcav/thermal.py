@@ -99,11 +99,26 @@ def buildup_factor(cavity: CavityParams) -> float:
     return 2.0 * cavity.kappa_ex * cavity.fsr / cavity.kappa ** 2
 
 
+def _lorentzian(detuning, peak, fwhm):
+    """peak / (1 + (2 detuning / fwhm)^2), on floats or arrays alike."""
+    x = 2.0 * detuning / fwhm
+    return peak / (1.0 + x * x)
+
+
+def _dip(detuning, depth, fwhm):
+    """1 minus a Lorentzian of the given depth: the bare-cavity probe dip."""
+    return 1.0 - _lorentzian(detuning, depth, fwhm)
+
+
+def _euler(offset, target, rate):
+    """offset relaxed toward target by the fraction rate = dt / tau_th."""
+    return offset + rate * (target - offset)
+
+
 def circulating_power(heater_detuning_hz, heater_power: float, cavity: CavityParams):
     """Lorentzian buildup P_circ = P B / (1 + (2 delta / FWHM)^2)."""
-    b = buildup_factor(cavity)
-    x = 2.0 * np.asarray(heater_detuning_hz, dtype=float) / cavity.fwhm_hz
-    out = heater_power * b / (1.0 + x * x)
+    out = _lorentzian(np.asarray(heater_detuning_hz, dtype=float),
+                      heater_power * buildup_factor(cavity), cavity.fwhm_hz)
     return out if out.ndim else float(out)
 
 
@@ -114,15 +129,13 @@ def dip_depth(cavity: CavityParams) -> float:
 
 def probe_transmission(probe_detuning_hz, cavity: CavityParams):
     """Bare-cavity Lorentzian dip seen by the weak probe."""
-    x = 2.0 * np.asarray(probe_detuning_hz, dtype=float) / cavity.fwhm_hz
-    out = 1.0 - dip_depth(cavity) / (1.0 + x * x)
+    out = _dip(np.asarray(probe_detuning_hz, dtype=float), dip_depth(cavity), cavity.fwhm_hz)
     return out if out.ndim else float(out)
 
 
 def relax(offset: float, p_circ: float, thermal: ThermalParams, dt: float) -> float:
     """One explicit-Euler step of the single-pole thermal response."""
-    target = thermal.shift_coefficient * p_circ
-    return offset + dt / thermal.tau_th * (target - offset)
+    return _euler(offset, thermal.shift_coefficient * p_circ, dt / thermal.tau_th)
 
 
 @dataclass(frozen=True)
@@ -139,19 +152,28 @@ class TimeSeries:
 
 
 def _dwell_above(time_s, signal, threshold) -> float:
-    """Total time signal > threshold, crossings linearly interpolated."""
+    """Total time signal > threshold, crossings linearly interpolated.
+
+    Each interval's share is summed left to right from 0.0 by cumsum, the
+    order of a plain running total.
+    """
     t = np.asarray(time_s)
     s = np.asarray(signal)
-    total = 0.0
+    if len(t) < 2:
+        return 0.0
     above = s > threshold
-    for i in range(len(t) - 1):
-        dt = t[i + 1] - t[i]
-        if above[i] and above[i + 1]:
-            total += dt
-        elif above[i] != above[i + 1]:
-            frac = (threshold - s[i]) / (s[i + 1] - s[i])
-            total += (1.0 - frac) * dt if above[i + 1] else frac * dt
-    return total
+    a0, a1 = above[:-1], above[1:]
+    part = np.empty(len(t))
+    part[0] = 0.0
+    share = part[1:]
+    np.subtract(t[1:], t[:-1], out=share)
+    i = np.flatnonzero(a0 != a1)
+    frac = (threshold - s[i]) / (s[i + 1] - s[i])
+    crossing = np.where(a1[i], 1.0 - frac, frac) * share[i]
+    inside = np.logical_and(a0, a1)
+    share[np.logical_not(inside, out=inside)] = 0.0
+    share[i] = crossing
+    return float(np.cumsum(part, out=part)[-1])
 
 
 def scan_experiment(direction: str, scan_rate: float, span_hz: float,
@@ -180,18 +202,24 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     nu_start = span_hz / 2.0 if direction == "down" else -span_hz / 2.0
 
     time_s = np.arange(n) * dt
-    heater_freq = nu_start + sign * scan_rate * time_s
+    slope = sign * scan_rate
+    heater_freq = nu_start + slope * time_s
     offset = np.empty(n)
     detuning = np.empty(n)
     p_circ = np.empty(n)
+    # loop on plain floats: nu_start + slope * (k * dt) is heater_freq[k] exactly
+    peak = config.heater_power * buildup_factor(cavity)
+    w = cavity.fwhm_hz
+    shift = thermal.shift_coefficient
+    rate = dt / thermal.tau_th
     off = 0.0
     for k in range(n):
-        d = heater_freq[k] - off
-        pc = circulating_power(d, config.heater_power, cavity)
+        d = nu_start + slope * (k * dt) - off
+        pc = _lorentzian(d, peak, w)
         detuning[k] = d
         p_circ[k] = pc
         offset[k] = off
-        off = relax(off, pc, thermal, dt)
+        off = _euler(off, shift * pc, rate)
     half_buildup = 0.5 * config.heater_power * buildup_factor(cavity)
     metrics = {
         "dwell_s": _dwell_above(time_s, p_circ, half_buildup),
@@ -291,33 +319,39 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     p_circ = np.empty(n)
     t_probe = np.empty(n)
 
+    # loop on plain floats: k * dt is time_s[k] exactly
+    peak = config.heater_power * buildup_factor(cavity)
+    setpoint = config.setpoint
+    gain_i = config.gain_i
+    shift = thermal.shift_coefficient
+    rate = dt / thermal.tau_th
     off = target_offset
     integral = 0.0
     out_of_band = 0
     for k in range(n):
-        d_ext = float(disturbance(time_s[k])) if disturbance is not None else 0.0
+        d_ext = float(disturbance(k * dt)) if disturbance is not None else 0.0
         res_pos = off + d_ext
-        t_p = probe_transmission(nu_probe - res_pos, cavity)
-        err = t_p - config.setpoint
+        t_p = _dip(nu_probe - res_pos, depth, w)
+        err = t_p - setpoint
         if abs(err) > capture_band:
             out_of_band += 1
             if out_of_band > CAPTURE_PATIENCE:
                 raise LockLost(
                     f"probe transmission out of capture range for {out_of_band} steps",
-                    time_s=float(time_s[k]),
+                    time_s=k * dt,
                 )
         else:
             out_of_band = 0
-        integral += config.gain_i * err * dt
+        integral += gain_i * err * dt
         nu_h = heater_base + integral
         dh = nu_h - res_pos
-        pc = circulating_power(dh, config.heater_power, cavity)
+        pc = _lorentzian(dh, peak, w)
         heater_freq[k] = nu_h
         detuning[k] = dh
         offset_rec[k] = res_pos
         p_circ[k] = pc
         t_probe[k] = t_p
-        off = relax(off, pc, thermal, dt)
+        off = _euler(off, shift * pc, rate)
 
     res_err = offset_rec - target_offset
     band = 0.05 * w

@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcav import io
 
@@ -104,3 +107,55 @@ def test_manifest_contents(tmp_path):
 
 def test_manifest_path_suffix():
     assert str(io.manifest_path("a/b.csv")).endswith("b.csv.manifest.json")
+
+
+def _csv_rows_reference(path, header, columns):
+    """Every row through csv.writer, one FLOAT_FMT call per value."""
+    cols = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*cols):
+            w.writerow([io.FLOAT_FMT % v for v in row])
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e-300, 123456789012345.0]),
+)
+# 0, 1 and 2 rows, and runs that straddle one and two chunks
+_CSV_LENGTHS = st.one_of(
+    st.integers(0, 5),
+    st.sampled_from([io.CHUNK_ROWS - 1, io.CHUNK_ROWS, io.CHUNK_ROWS + 1,
+                     2 * io.CHUNK_ROWS + 7]),
+)
+
+
+@st.composite
+def _csv_columns(draw):
+    n = draw(_CSV_LENGTHS)
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            base = np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=8)),
+                            dtype=np.int64)
+        else:
+            base = np.array(draw(st.lists(_CSV_FLOATS, min_size=1, max_size=8)), dtype=float)
+        columns.append(np.resize(base, n))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=_csv_columns())
+def test_write_columns_csv_matches_csv_writer(tmp_path_factory, columns):
+    d = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(len(columns))]
+    io.write_columns_csv(d / "got.csv", header, columns)
+    _csv_rows_reference(d / "want.csv", header, columns)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def test_write_columns_csv_without_columns(tmp_path):
+    io.write_columns_csv(tmp_path / "got.csv", [], [])
+    _csv_rows_reference(tmp_path / "want.csv", [], [])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

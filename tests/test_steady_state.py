@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ringcav import steady_state as ss
 from ringcav.errors import DivergentDrive, NoRealRoot
 from ringcav.params import DriveParams
+from ringcav.units import TWO_PI
 
 finite_drives = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 coops = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
@@ -204,6 +205,70 @@ def test_follow_sweep_hysteresis(cavity, ensemble):
     up = ss.spectrum(grid, cavity, ens, drv, policy=ss.BranchPolicy("follow_sweep", "up"))
     down = ss.spectrum(grid, cavity, ens, drv, policy=ss.BranchPolicy("follow_sweep", "down"))
     assert np.max(np.abs(up - down)) > 1e-3
+
+
+def _follow_per_point(roots, counts, direction):
+    """The follow rule walked over every grid point: nearest root to the last."""
+    n = len(counts)
+    order = range(n) if direction == "up" else range(n - 1, -1, -1)
+    u = np.empty(n)
+    prev = None
+    for i in order:
+        avail = roots[i, : counts[i]]
+        if prev is None:
+            prev = avail[0]
+        prev = avail[np.argmin(np.abs(avail - prev))]
+        u[i] = prev
+    return u
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(3.0, 8.0), power_nw=st.floats(5.0, 30.0),
+       offset_mhz=st.floats(-8.0, 8.0), direction=st.sampled_from(["up", "down"]))
+def test_follow_walk_matches_per_point_walk(cavity, ensemble, c, power_nw, offset_mhz,
+                                            direction):
+    from dataclasses import replace
+
+    ens = replace(ensemble, cooperativity=c)
+    drv = DriveParams(input_power=power_nw * 1e-9)
+    offset_hz = offset_mhz * 1e6
+    grid = np.linspace(-30e6, 30e6, 3001)
+    omega = TWO_PI * grid
+    dc, da = omega / cavity.kappa, (omega - TWO_PI * offset_hz) / ens.gamma_perp
+    y2 = ss.drive_y2(drv, cavity, ens.n_sat)
+    roots, counts = ss._roots_grid(np.full_like(grid, y2), dc, da, c)
+    assume(counts.max() > 1)  # bistable somewhere on the grid
+    policy = ss.BranchPolicy("follow_sweep", direction)
+    want = _follow_per_point(roots, counts, direction)
+    assert np.array_equal(ss.select_branch(roots, counts, policy, sweep=True), want)
+    t = ss.spectrum(grid, cavity, ens, drv, atom_offset_hz=offset_hz, policy=policy)
+    assert np.array_equal(t, ss._transmission_from_u(want, dc, da, c, cavity.kappa_ratio))
+
+
+def test_follow_walk_at_the_grid_ends():
+    # bistable first and last points: each sweep starts from its own end's lowest
+    # root; at equal distances (2.75 and 3.75 from 3.25) the lower root wins
+    nan = np.nan
+    roots = np.array([[1.0, 2.75, 3.75], [0.25, 1.25, 3.25], [2.75, nan, nan],
+                      [0.5, 1.75, 4.0], [1.5, 2.0, 3.5]])
+    counts = np.array([3, 3, 1, 3, 3])
+    want = {"up": [1.0, 1.25, 2.75, 1.75, 1.5], "down": [2.75, 3.25, 2.75, 1.75, 1.5]}
+    for direction in ("up", "down"):
+        got = ss.select_branch(roots, counts, ss.BranchPolicy("follow_sweep", direction), True)
+        assert np.array_equal(got, want[direction])
+        assert np.array_equal(_follow_per_point(roots, counts, direction), want[direction])
+
+
+def test_saturation_curve_rejects_follow_sweep(cavity, ensemble):
+    from ringcav.fitting import saturation_curve
+
+    powers = np.logspace(-12, -8, 20)
+    for direction in ("up", "down"):
+        with pytest.raises(ValueError, match="follow_sweep"):
+            saturation_curve(powers, cavity, ensemble, ss.BranchPolicy("follow_sweep", direction))
+    lo = saturation_curve(powers, cavity, ensemble, ss.LOWEST)
+    hi = saturation_curve(powers, cavity, ensemble, ss.HIGHEST)
+    assert np.all(hi <= lo)
 
 
 # ------------------------------------------------------- drive conversion

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, curve_fit
 
 import oracles
@@ -243,3 +245,185 @@ def test_dwell_interpolation_matches_analytic():
 def test_default_config_mid_fringe(cavity, therm, config):
     assert config.setpoint == pytest.approx(1.0 - thermal.dip_depth(cavity) / 2.0, rel=1e-12)
     assert config.dt == pytest.approx(therm.tau_th / 40.0, rel=1e-12)
+
+
+# ------------------------------------------------ replay of the per-step loops
+#
+# The loops below step the model through the public per-step helpers
+# (relax, circulating_power, probe_transmission) and sum dwell times with a
+# running total, one numpy scalar at a time. The package's loops run on
+# plain floats and must reproduce them bit for bit.
+
+def _dwell_loop(time_s, signal, threshold):
+    t = np.asarray(time_s)
+    s = np.asarray(signal)
+    total = 0.0
+    above = s > threshold
+    for i in range(len(t) - 1):
+        dt = t[i + 1] - t[i]
+        if above[i] and above[i + 1]:
+            total += dt
+        elif above[i] != above[i + 1]:
+            frac = (threshold - s[i]) / (s[i + 1] - s[i])
+            total += (1.0 - frac) * dt if above[i + 1] else frac * dt
+    return total
+
+
+def _replay_scan(direction, scan_rate, span_hz, therm, config, cavity):
+    dt = config.dt
+    n = int(math.ceil(span_hz / scan_rate / dt)) + 1
+    sign = -1.0 if direction == "down" else 1.0
+    nu_start = span_hz / 2.0 if direction == "down" else -span_hz / 2.0
+    time_s = np.arange(n) * dt
+    heater_freq = nu_start + sign * scan_rate * time_s
+    offset, detuning, p_circ = np.empty(n), np.empty(n), np.empty(n)
+    off = 0.0
+    for k in range(n):
+        d = heater_freq[k] - off
+        pc = thermal.circulating_power(d, config.heater_power, cavity)
+        detuning[k], p_circ[k], offset[k] = d, pc, off
+        off = thermal.relax(off, pc, therm, dt)
+    half_buildup = 0.5 * config.heater_power * thermal.buildup_factor(cavity)
+    metrics = {
+        "dwell_s": _dwell_loop(time_s, p_circ, half_buildup),
+        "final_resonance_offset_hz": float(offset[-1]),
+        "max_pull_hz": float(offset.min()),
+    }
+    return thermal.TimeSeries(time_s, heater_freq, detuning, offset, p_circ,
+                              thermal.probe_transmission(detuning, cavity), metrics)
+
+
+def _replay_lock(duration_s, therm, config, cavity, disturbance=None):
+    w = cavity.fwhm_hz
+    depth = thermal.dip_depth(cavity)
+    target_offset = -10.0 * w
+    nu_probe = target_offset + 0.5 * w * math.sqrt(depth / (1.0 - config.setpoint) - 1.0)
+    heater_base = target_offset + thermal.equilibrium_detuning(target_offset, therm, config,
+                                                               cavity)
+    capture_band = 0.45 * depth
+    dt = config.dt
+    n = int(math.ceil(duration_s / dt)) + 1
+    time_s = np.arange(n) * dt
+    heater_freq, detuning, offset_rec, p_circ, t_probe = (np.empty(n) for _ in range(5))
+    off, integral, out_of_band = target_offset, 0.0, 0
+    for k in range(n):
+        d_ext = float(disturbance(time_s[k])) if disturbance is not None else 0.0
+        res_pos = off + d_ext
+        t_p = thermal.probe_transmission(nu_probe - res_pos, cavity)
+        err = t_p - config.setpoint
+        if abs(err) > capture_band:
+            out_of_band += 1
+            if out_of_band > thermal.CAPTURE_PATIENCE:
+                raise LockLost(
+                    f"probe transmission out of capture range for {out_of_band} steps",
+                    time_s=float(time_s[k]),
+                )
+        else:
+            out_of_band = 0
+        integral += config.gain_i * err * dt
+        nu_h = heater_base + integral
+        dh = nu_h - res_pos
+        pc = thermal.circulating_power(dh, config.heater_power, cavity)
+        heater_freq[k], detuning[k], offset_rec[k], p_circ[k], t_probe[k] = (
+            nu_h, dh, res_pos, pc, t_p)
+        off = thermal.relax(off, pc, therm, dt)
+    res_err = offset_rec - target_offset
+    abs_err = np.abs(res_err)
+    metrics = {
+        "rms_transmission_error": float(np.sqrt(np.mean((t_probe - config.setpoint) ** 2))),
+        "rms_resonance_error_hz": float(np.sqrt(np.mean(res_err ** 2))),
+        "relock_time_s": _dwell_loop(time_s, abs_err, 0.05 * w),
+        "final_resonance_offset_hz": float(offset_rec[-1]),
+        "max_resonance_error_hz": float(abs_err.max()),
+    }
+    return thermal.TimeSeries(time_s, heater_freq, detuning, offset_rec, p_circ, t_probe,
+                              metrics)
+
+
+_SERIES_ARRAYS = ("time_s", "heater_freq_hz", "heater_detuning_hz", "resonance_offset_hz",
+                  "p_circ_w", "probe_transmission")
+
+
+def _assert_same_series(got, want):
+    for name in _SERIES_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert list(got.metrics) == list(want.metrics)
+    for name, value in want.metrics.items():
+        assert got.metrics[name] == value, name
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_scan_matches_step_by_step_replay(cavity, therm, config, direction):
+    args = (direction, cavity.fwhm_hz / (4.0 * therm.tau_th), 60.0 * cavity.fwhm_hz,
+            therm, config, cavity)
+    series = thermal.scan_experiment(*args)
+    assert series.metrics["dwell_s"] > 0.0
+    _assert_same_series(series, _replay_scan(*args))
+
+
+def test_lock_step_matches_step_by_step_replay(cavity, therm, config):
+    dist = thermal.step_disturbance(0.1, 0.4 * cavity.fwhm_hz)
+    series = thermal.lock_loop(0.4, therm, config, cavity, disturbance=dist)
+    assert series.metrics["relock_time_s"] > 0.0
+    _assert_same_series(series, _replay_lock(0.4, therm, config, cavity, disturbance=dist))
+
+
+def test_lock_hold_matches_step_by_step_replay(cavity, therm, config):
+    _assert_same_series(thermal.lock_loop(0.2, therm, config, cavity),
+                        _replay_lock(0.2, therm, config, cavity))
+
+
+def test_lock_lost_matches_step_by_step_replay(cavity, therm, config):
+    dist = thermal.step_disturbance(0.05, 30.0 * cavity.fwhm_hz)
+    with pytest.raises(LockLost) as got:
+        thermal.lock_loop(0.5, therm, config, cavity, disturbance=dist)
+    with pytest.raises(LockLost) as want:
+        _replay_lock(0.5, therm, config, cavity, disturbance=dist)
+    assert str(got.value) == str(want.value)
+    assert got.value.time_s == want.value.time_s
+    assert type(got.value.time_s) is float
+
+
+_DWELL_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, -0.0, 0.0, 1.0, np.nan, np.inf, -np.inf]),
+)
+
+
+def _same_float(a, b):
+    if math.isnan(b):
+        return math.isnan(a)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 40), integers=st.booleans())
+@example(data=None, n=0, integers=False)
+def test_dwell_above_matches_running_total(data, n, integers):
+    # threshold 0.5 sits on the drawn plateaus; -0.0 and the infinities ride along
+    if data is None:
+        t, s = np.array([]), np.array([])
+    elif integers:
+        t = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
+                     dtype=np.int64)
+        s = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    else:
+        t = np.sort(np.array(data.draw(st.lists(_DWELL_VALUES, min_size=n, max_size=n)),
+                             dtype=float))
+        s = np.array(data.draw(st.lists(_DWELL_VALUES, min_size=n, max_size=n)), dtype=float)
+    threshold = 0.5 if not integers else 1.0
+    with np.errstate(all="ignore"):
+        got = thermal._dwell_above(t, s, threshold)
+        want = _dwell_loop(t, s, threshold)
+    assert type(got) is float
+    assert _same_float(got, float(want))
+
+
+def test_dwell_above_short_inputs():
+    assert thermal._dwell_above([], [], 0.0) == 0.0
+    assert thermal._dwell_above([1.0], [2.0], 0.0) == 0.0
+    assert thermal._dwell_above([0.0, 2.0], [1.0, 1.0], 0.0) == 2.0
+    assert thermal._dwell_above([0.0, 2.0], [-1.0, 1.0], 0.0) == 1.0
+    # a running total starts at +0.0, so a lone -0.0 interval sums to +0.0
+    assert math.copysign(1.0, thermal._dwell_above([0.0, -0.0], [1.0, 1.0], 0.0)) == 1.0
