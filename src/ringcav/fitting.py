@@ -10,11 +10,17 @@ spectra, x in W for saturation curves, parameters as named below):
   (finesse, fsr_mhz, dip_transmission, nu0_mhz) parameterization.
 - "saturation_curve": on-resonance transmission versus input power.
 
-The optimizer is scipy.optimize.least_squares (trust-region reflective,
-finite-difference jacobian) behind a deterministic multi-start loop:
+The optimizer is scipy.optimize.least_squares (trust-region reflective)
+with an analytic jacobian behind a deterministic multi-start loop:
 8 jittered initializations, best cost wins, ties broken by lowest
-cooperativity. Degenerate (flat) parameter directions at the optimum are
-detected from the jacobian SVD and reported by raising DegenerateFit.
+cooperativity. Each model evaluation returns the values and their
+jacobian: the cubic models differentiate the certified intensity root
+implicitly, the ring model uses the closed-form derivative of its field.
+A jacobian column that comes out non-finite (at a double root, or at
+dip_transmission = 0 where the ring goes as its square root) falls back to
+a one-sided difference. Degenerate (flat) parameter directions at the
+optimum are detected from the jacobian SVD and reported by raising
+DegenerateFit.
 """
 from __future__ import annotations
 
@@ -25,10 +31,11 @@ from scipy.optimize import least_squares
 
 from . import steady_state as ss
 from .errors import DegenerateFit, ModelEvaluationFailed, NotConverged, RingcavError
-from .params import NOMINAL, CavityParams, DriveParams, EnsembleParams
+from .params import (NOMINAL, CavityParams, EnsembleParams, cavity_from_dict, drive_from_dict,
+                     ensemble_from_dict)
 from .peaks import find_transmission_dips, measure_splitting
-from .ring import RingModel, ring_from_lineshape, ring_transmission
-from .units import mhz_to_rad
+from .ring import _lineshape_partials, _ring_transmission, ring_from_lineshape, ring_transmission
+from .units import TWO_PI, mhz_to_rad
 
 N_STARTS = 8
 MAX_NFEV = 2000
@@ -100,74 +107,94 @@ class FitResult:
     estimates: dict
     residual_rms: float
     covariance_proxy: dict  # 1-sigma from quadratic expansion at the optimum
-    n_eval: int
+    n_eval: int  # model evaluations, see fit
     converged: bool
 
 
-def _spectrum_model(x_mhz, p):
-    cavity = CavityParams(
-        kappa_i=mhz_to_rad(p["kappa_i_mhz"]),
-        kappa_ex=mhz_to_rad(p["kappa_ex_mhz"]),
-        fsr=p["fsr_mhz"] * 1e6,
-        lambda_p=p["lambda_p_nm"] * 1e-9,
-    )
-    gamma_par = mhz_to_rad(p["gamma_par_mhz"])
-    ensemble = EnsembleParams(
-        cooperativity=p["cooperativity"],
-        gamma_par=gamma_par,
-        gamma_d=mhz_to_rad(p["gamma_perp_mhz"]) - gamma_par / 2.0,
-        n_sat=p["n_sat"],
-    )
-    drive = DriveParams(input_power=p["input_power_w"])
-    t = ss.spectrum(np.asarray(x_mhz) * 1e6, cavity, ensemble, drive)
-    return p["scale"] * t + p["baseline"]
+def _cavity_and_ensemble(p):
+    return (cavity_from_dict({k: p[k] for k in NOMINAL["cavity"]}),
+            ensemble_from_dict({k: p[k] for k in NOMINAL["ensemble"]}))
 
 
-def _ring_model(x_mhz, p):
+def _spectrum_model(x_mhz, p, free=()):
+    cavity, ensemble = _cavity_and_ensemble(p)
+    drive = drive_from_dict({"input_power_w": p["input_power_w"]})
+    if not free:
+        return p["scale"] * ss.spectrum(x_mhz * 1e6, cavity, ensemble, drive) + p["baseline"], None
+    return _cubic_model(p, free, cavity, ensemble, drive.input_power, TWO_PI * (x_mhz * 1e6))
+
+
+def _saturation_model(x_w, p, free=()):
+    cavity, ensemble = _cavity_and_ensemble(p)
+    if not free:
+        return p["scale"] * saturation_curve(x_w, cavity, ensemble) + p["baseline"], None
+    return _cubic_model(p, free, cavity, ensemble, _positive_powers(x_w), 0.0)
+
+
+def _cubic_model(p, free, cavity, ensemble, power_w, omega):
+    """scale * T + baseline on the lowest branch, and its jacobian in free.
+
+    The steady state gives dT/d(y2, delta_c, delta_a, C, r); this chains them
+    to the external parameters through y2 ~ P lambda_p kappa_ex/(kappa^2 n_sat),
+    r = kappa_ex/kappa, delta_c = omega/kappa and delta_a = omega/gamma_perp.
+    fsr_mhz, and gamma_par_mhz at fixed gamma_perp_mhz, change nothing: their
+    columns are exact zeros.
+    """
+    delta_c, delta_a = omega / cavity.kappa, omega / ensemble.gamma_perp
+    y2 = ss.drive_from_power(power_w, cavity, ensemble.n_sat)
+    t, (t_y2, t_dc, t_da, t_c, t_r) = ss._steady_transmission(
+        y2, delta_c, delta_a, ensemble.cooperativity, cavity.kappa_ratio, partials=True)
+    per_mhz = mhz_to_rad(1.0)
+    y2_t = y2 * t_y2
+    d_kappa = -(2.0 * y2_t + delta_c * t_dc + cavity.kappa_ratio * t_r) * (per_mhz / cavity.kappa)
+    columns = {
+        "kappa_i_mhz": d_kappa,
+        "kappa_ex_mhz": d_kappa + (y2_t / cavity.kappa_ex + t_r / cavity.kappa) * per_mhz,
+        "fsr_mhz": np.zeros_like(t),
+        "lambda_p_nm": y2_t / p["lambda_p_nm"],
+        "cooperativity": t_c,
+        "gamma_perp_mhz": -delta_a * t_da * (per_mhz / ensemble.gamma_perp),
+        "gamma_par_mhz": np.zeros_like(t),
+        "n_sat": -y2_t / ensemble.n_sat,
+        "input_power_w": ss.drive_from_power(1.0, cavity, ensemble.n_sat) * t_y2,
+    }
+    return p["scale"] * t + p["baseline"], _jacobian(columns, free, p["scale"], t)
+
+
+def _jacobian(columns, free, scale, t):
+    """Columns of d(scale * t + baseline)/dtheta, given dt/dtheta for the physical names."""
+    nuisance = {"scale": t, "baseline": np.ones_like(t)}
+    return np.column_stack([nuisance[n] if n in nuisance else scale * columns[n] for n in free])
+
+
+def _ring_model(x_mhz, p, free=()):
     model = ring_from_lineshape(
         finesse=p["finesse"],
         fsr=p["fsr_mhz"] * 1e6,
         dip_transmission=p["dip_transmission"],
         detuning_offset=p["nu0_mhz"] * 1e6,
     )
-    return p["scale"] * ring_transmission(np.asarray(x_mhz) * 1e6, model) + p["baseline"]
+    if not free:
+        return p["scale"] * ring_transmission(x_mhz * 1e6, model) + p["baseline"], None
+    t, (t_t, t_a, t_fsr, t_offset) = _ring_transmission(x_mhz * 1e6, model, partials=True)
+    (t_f, a_f), (t_d, a_d) = _lineshape_partials(p["finesse"], p["dip_transmission"])
+    columns = {
+        "finesse": t_t * t_f + t_a * a_f,
+        "dip_transmission": t_t * t_d + t_a * a_d,
+        "fsr_mhz": t_fsr * 1e6,
+        "nu0_mhz": t_offset * 1e6,
+    }
+    return p["scale"] * t + p["baseline"], _jacobian(columns, free, p["scale"], t)
 
 
-def _saturation_model(x_w, p):
-    cavity = CavityParams(
-        kappa_i=mhz_to_rad(p["kappa_i_mhz"]),
-        kappa_ex=mhz_to_rad(p["kappa_ex_mhz"]),
-        fsr=p["fsr_mhz"] * 1e6,
-        lambda_p=p["lambda_p_nm"] * 1e-9,
-    )
-    gamma_par = mhz_to_rad(p["gamma_par_mhz"])
-    ensemble = EnsembleParams(
-        cooperativity=p["cooperativity"],
-        gamma_par=gamma_par,
-        gamma_d=mhz_to_rad(p["gamma_perp_mhz"]) - gamma_par / 2.0,
-        n_sat=p["n_sat"],
-    )
-    t = saturation_curve(np.asarray(x_w, dtype=float), cavity, ensemble)
-    return p["scale"] * t + p["baseline"]
-
-
-_CAVITY_DEFAULTS = {
-    "kappa_i_mhz": NOMINAL["cavity"]["kappa_i_mhz"],
-    "kappa_ex_mhz": NOMINAL["cavity"]["kappa_ex_mhz"],
-    "fsr_mhz": NOMINAL["cavity"]["fsr_mhz"],
-    "lambda_p_nm": NOMINAL["cavity"]["lambda_p_nm"],
-}
-_ATOM_DEFAULTS = {
-    "cooperativity": NOMINAL["ensemble"]["cooperativity"],
-    "gamma_perp_mhz": NOMINAL["ensemble"]["gamma_perp_mhz"],
-    "gamma_par_mhz": NOMINAL["ensemble"]["gamma_par_mhz"],
-    "n_sat": NOMINAL["ensemble"]["n_sat"],
-}
 _NUISANCE_DEFAULTS = {"scale": 1.0, "baseline": 0.0}
 
 
 @dataclass(frozen=True)
 class _Model:
+    """func(x, params, free=()) -> (values, jacobian): jacobian has one column
+    per name in free, d values / d params[name], and is None when free is empty."""
+
     func: callable
     defaults: dict
     bounds: dict
@@ -177,8 +204,8 @@ class _Model:
 MODELS = {
     "atomic_spectrum": _Model(
         func=_spectrum_model,
-        defaults={**_CAVITY_DEFAULTS, **_ATOM_DEFAULTS,
-                  "input_power_w": 30e-12, **_NUISANCE_DEFAULTS},
+        defaults={**NOMINAL["cavity"], **NOMINAL["ensemble"],
+                  "input_power_w": NOMINAL["drive"]["input_power_w"], **_NUISANCE_DEFAULTS},
         bounds={"cooperativity": (0.0, 50.0), "gamma_perp_mhz": (2.6, 50.0),
                 "n_sat": (1e-2, 1e4), "input_power_w": (0.0, 1.0),
                 "kappa_i_mhz": (1e-3, 1e3), "kappa_ex_mhz": (1e-3, 1e3),
@@ -196,7 +223,7 @@ MODELS = {
     ),
     "saturation_curve": _Model(
         func=_saturation_model,
-        defaults={**_CAVITY_DEFAULTS, **_ATOM_DEFAULTS, **_NUISANCE_DEFAULTS},
+        defaults={**NOMINAL["cavity"], **NOMINAL["ensemble"], **_NUISANCE_DEFAULTS},
         bounds={"cooperativity": (0.0, 50.0), "gamma_perp_mhz": (2.6, 50.0),
                 "n_sat": (1e-2, 1e4),
                 "kappa_i_mhz": (1e-3, 1e3), "kappa_ex_mhz": (1e-3, 1e3),
@@ -213,13 +240,16 @@ def saturation_curve(powers_w, cavity: CavityParams, ensemble: EnsembleParams,
     policy is "lowest" or "highest"; follow_sweep raises ValueError, as in
     steady_state.solve.
     """
+    y2 = ss.drive_from_power(_positive_powers(powers_w), cavity, ensemble.n_sat)
+    return ss._steady_transmission(y2, 0.0, 0.0, ensemble.cooperativity, cavity.kappa_ratio,
+                                   policy)
+
+
+def _positive_powers(powers_w):
     powers = np.asarray(powers_w, dtype=float)
     if np.any(powers <= 0):
         raise ValueError("powers must be > 0")
-    y2 = ss.drive_from_power(powers, cavity, ensemble.n_sat)
-    roots, counts = ss._roots_grid(y2, 0.0, 0.0, ensemble.cooperativity)
-    u = ss.select_branch(roots, counts, policy)
-    return ss._transmission_from_u(u, 0.0, 0.0, ensemble.cooperativity, cavity.kappa_ratio)
+    return powers
 
 
 def _resolve(spec: FitSpec) -> tuple[dict, dict]:
@@ -240,7 +270,7 @@ def evaluate_model(spec: FitSpec, params: dict, x) -> np.ndarray:
     full, _ = _resolve(spec)
     full.update(params)
     try:
-        return np.asarray(model.func(np.asarray(x, dtype=float), full), dtype=float)
+        return np.asarray(model.func(np.asarray(x, dtype=float), full)[0], dtype=float)
     except RingcavError as exc:
         raise ModelEvaluationFailed(f"model {spec.model!r} failed: {exc}") from exc
 
@@ -309,6 +339,51 @@ def _jittered_starts(init: dict, bounds: dict, n_starts: int) -> list[dict]:
     return starts
 
 
+class _Residuals:
+    """Weighted residuals and their jacobian at theta, for least_squares.
+
+    One point costs one model.func call, which returns both; residuals()
+    and jacobian() at the same theta share it. A jacobian column with a
+    non-finite entry is replaced by a one-sided difference of model.func,
+    stepping away from the upper bound, one more call each. n_eval counts
+    every call.
+    """
+
+    def __init__(self, spec: FitSpec, data: Dataset, full: dict, upper):
+        self.spec, self.data, self.full, self.upper = spec, data, full, upper
+        self.func = MODELS[spec.model].func
+        self.w_sqrt = np.sqrt(data.weights)
+        self.n_eval = 0
+        self._theta = None
+
+    def _call(self, theta, free):
+        p = dict(self.full)
+        p.update({n: float(v) for n, v in zip(self.spec.free, theta)})
+        self.n_eval += 1
+        try:
+            return self.func(self.data.x, p, free)
+        except RingcavError as exc:
+            raise ModelEvaluationFailed(f"model {self.spec.model!r} failed: {exc}") from exc
+
+    def _at(self, theta):
+        if self._theta is None or not np.array_equal(theta, self._theta):
+            self._values, self._jac = self._call(theta, self.spec.free)
+            self._theta = np.array(theta, dtype=float)
+        return self._values, self._jac
+
+    def residuals(self, theta):
+        return self.w_sqrt * (self._at(theta)[0] - self.data.yobs)
+
+    def jacobian(self, theta):
+        values, jac = self._at(theta)
+        for j in np.flatnonzero(~np.isfinite(jac).all(axis=0)):
+            step = np.sqrt(np.finfo(float).eps) * max(1.0, abs(theta[j]))
+            shifted = np.array(theta, dtype=float)
+            shifted[j] += step if theta[j] + step <= self.upper[j] else -step
+            jac[:, j] = (self._call(shifted, ())[0] - values) / (shifted[j] - theta[j])
+        return self.w_sqrt[:, None] * jac
+
+
 def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     """Weighted least-squares fit of the chosen model.
 
@@ -317,6 +392,10 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     lowest cooperativity. Raises NotConverged if the winner exhausted its
     evaluation budget, DegenerateFit (carrying the result) if the objective
     is flat along some parameter direction at the optimum.
+
+    n_eval counts model evaluations over all starts: one evaluation is one
+    model.func call over the whole dataset, returning the values and their
+    jacobian; a fallback difference column (see _Residuals) is one more.
     """
     model = MODELS[spec.model]
     if len(spec.free) == 0:
@@ -331,30 +410,18 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
 
     full, bounds = _resolve(spec)
     names = list(spec.free)
-    w_sqrt = np.sqrt(data.weights)
-
-    def residuals(theta):
-        p = dict(full)
-        p.update({n: float(v) for n, v in zip(names, theta)})
-        try:
-            ymodel = model.func(data.x, p)
-        except RingcavError as exc:
-            raise ModelEvaluationFailed(f"model {spec.model!r} failed: {exc}") from exc
-        return w_sqrt * (ymodel - data.yobs)
-
     lo = np.array([bounds[n][0] for n in names])
     hi = np.array([bounds[n][1] for n in names])
+    problem = _Residuals(spec, data, full, hi)
     init = default_init(data, spec)
 
     best = None
-    n_eval = 0
     for start in _jittered_starts(init, bounds, n_starts):
         theta0 = np.array([start[n] for n in names])
         res = least_squares(
-            residuals, theta0, bounds=(lo, hi),
+            problem.residuals, theta0, jac=problem.jacobian, bounds=(lo, hi),
             xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=MAX_NFEV,
         )
-        n_eval += res.nfev
         if best is None:
             best = res
             continue
@@ -368,18 +435,21 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
 
     converged = best.status > 0
     estimates = {n: float(v) for n, v in zip(names, best.x)}
-    raw = best.fun / w_sqrt
+    raw = best.fun / problem.w_sqrt
+    # one thin SVD serves both the covariance proxy and the flatness test
+    _, sv, vt = np.linalg.svd(best.jac, full_matrices=False)
+    dof = max(1, data.x.size - len(names))
     result = FitResult(
         estimates=estimates,
         residual_rms=float(np.sqrt(np.mean(raw ** 2))),
-        covariance_proxy=_covariance_proxy(best, names, data),
-        n_eval=int(n_eval),
+        covariance_proxy=_covariance_proxy(sv, vt, names, 2.0 * best.cost / dof),
+        n_eval=problem.n_eval,
         converged=bool(converged),
     )
     if not converged:
         raise NotConverged(f"evaluation budget exhausted ({MAX_NFEV} per start)")
 
-    flat = _flat_directions(best.jac, names)
+    flat = _flat_directions(best.jac, sv, vt, names)
     if flat:
         raise DegenerateFit(
             f"objective is flat along {flat}; estimates for these parameters "
@@ -390,20 +460,13 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     return result
 
 
-def _covariance_proxy(res, names, data: Dataset) -> dict:
+def _covariance_proxy(sv, vt, names, s2) -> dict:
     """Per-parameter 1-sigma from the quadratic expansion at the optimum.
 
-    This is the usual (J^T J)^-1 estimate scaled by the residual variance,
-    a local curvature proxy rather than a full error analysis; flat
-    directions produce inf.
+    This is the usual (J^T J)^-1 estimate scaled by the residual variance
+    s2, from the thin SVD J = U diag(sv) vt; a local curvature proxy rather
+    than a full error analysis; flat directions produce inf.
     """
-    j = res.jac
-    dof = max(1, data.x.size - len(names))
-    s2 = 2.0 * res.cost / dof
-    try:
-        u, sv, vt = np.linalg.svd(j, full_matrices=False)
-    except np.linalg.LinAlgError:
-        return {n: float("inf") for n in names}
     good = sv > sv[0] * 1e-12 if sv.size and sv[0] > 0 else sv > 0
     inv = np.zeros_like(sv)
     inv[good] = 1.0 / sv[good] ** 2
@@ -420,16 +483,17 @@ def _covariance_proxy(res, names, data: Dataset) -> dict:
     return out
 
 
-def _flat_directions(jac, names) -> list:
-    """Names of parameters spanning near-null directions of the jacobian."""
+def _flat_directions(jac, sv, vt, names) -> list:
+    """Names of parameters spanning near-null directions of the jacobian.
+
+    sv and vt are the jacobian's thin SVD.
+    """
     col_norm = np.linalg.norm(jac, axis=0)
     biggest = col_norm.max() if col_norm.size else 0.0
     flat = [n for n, c in zip(names, col_norm) if biggest > 0 and c < biggest * DEGENERACY_RATIO]
     if biggest == 0.0:
         return list(names)
-    sv = np.linalg.svd(jac, compute_uv=False)
     if sv[-1] < sv[0] * DEGENERACY_RATIO:
-        vt = np.linalg.svd(jac)[2]
         null = np.abs(vt[-1])
         flat += [n for i, n in enumerate(names) if null[i] > 0.5 and n not in flat]
     return sorted(set(flat))
@@ -441,7 +505,7 @@ def generate_synthetic(spec: FitSpec, x, truth: dict, noise_sigma: float = 0.0,
     model = MODELS[spec.model]
     full, _ = _resolve(spec)
     full.update(truth)
-    y = model.func(np.asarray(x, dtype=float), full)
+    y = model.func(np.asarray(x, dtype=float), full)[0]
     if noise_sigma:
         rng = np.random.default_rng(seed)
         y = y + rng.normal(0.0, noise_sigma, size=np.shape(y))

@@ -70,11 +70,29 @@ class RingModel:
 
 def ring_transmission(nu_hz, model: RingModel):
     """Power transmission at frequency nu_hz (scalar or array), in [dip, 1]."""
-    phi = TWO_PI * (np.asarray(nu_hz, dtype=float) - model.detuning_offset) / model.fsr
-    e = np.exp(1j * phi)
-    amp = (model.t_coupler - model.a_roundtrip * e) / (1.0 - model.t_coupler * model.a_roundtrip * e)
-    out = np.abs(amp) ** 2
+    out = _ring_transmission(nu_hz, model)
     return out if out.ndim else float(out)
+
+
+def _ring_transmission(nu_hz, model: RingModel, partials=False):
+    """ring_transmission as an array; with partials=True also dT/d(t, a, fsr, offset).
+
+    With M = 1 - t a e: dA/dt = (1 - a^2 e^2)/M^2, dA/da = e (t^2 - 1)/M^2
+    and dA/dphi = i a e (t^2 - 1)/M^2; dT = 2 Re(conj(A) dA).
+    """
+    t, a, fsr = model.t_coupler, model.a_roundtrip, model.fsr
+    phi = TWO_PI * (np.asarray(nu_hz, dtype=float) - model.detuning_offset) / fsr
+    e = np.exp(1j * phi)
+    m = 1.0 - t * a * e
+    amp = (t - a * e) / m
+    out = np.abs(amp) ** 2
+    if not partials:
+        return out
+    w = 2.0 * np.conj(amp) / (m * m)
+    we = w * e
+    t_phi = -a * (t * t - 1.0) * we.imag
+    return out, (w.real - a * a * (we * e).real, (t * t - 1.0) * we.real,
+                 -t_phi * phi / fsr, -t_phi * TWO_PI / fsr)
 
 
 def lorentzian_linewidth(model: RingModel) -> float:
@@ -134,3 +152,26 @@ def ring_from_lineshape(finesse: float, fsr: float, dip_transmission: float,
     hi, lo = (s + diff) / 2.0, (s - diff) / 2.0
     t, a = (lo, hi) if overcoupled else (hi, lo)
     return RingModel(t_coupler=t, a_roundtrip=min(a, 1.0), fsr=fsr, detuning_offset=detuning_offset)
+
+
+def _lineshape_partials(finesse: float, dip_transmission: float):
+    """d(t, a)/d(finesse, dip_transmission) of ring_from_lineshape, undercoupled.
+
+    Returns ((dt/dF, da/dF), (dt/dT_dip, da/dT_dip)); the dip column is NaN at
+    T_dip = 0, where t and a go as sqrt(T_dip).
+    """
+    phi = math.pi / finesse
+    root = math.sqrt(phi * phi + 4.0)
+    sqrt_m = (-phi + root) / 2.0
+    m = sqrt_m * sqrt_m
+    dm_df = sqrt_m * (phi / root - 1.0) * (-phi / finesse)
+    sqrt_dip = math.sqrt(dip_transmission)
+    diff = sqrt_dip * (1.0 - m)
+    s = math.sqrt(diff * diff + 4.0 * m)
+    ddiff_df = -sqrt_dip * dm_df
+    ddiff_dd = (1.0 - m) / (2.0 * sqrt_dip) if sqrt_dip > 0.0 else math.inf
+    ds_df = (diff * ddiff_df + 2.0 * dm_df) / s
+    ds_dd = diff * ddiff_dd / s
+    d_finesse = ((ds_df + ddiff_df) / 2.0, (ds_df - ddiff_df) / 2.0)
+    d_dip = ((ds_dd + ddiff_dd) / 2.0, (ds_dd - ddiff_dd) / 2.0)
+    return d_finesse, d_dip

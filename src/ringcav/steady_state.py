@@ -237,12 +237,64 @@ def field_from_root(y, delta_c, delta_a, cooperativity, u):
     return y / (1j * f)
 
 
-def _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio):
-    """T on a known branch; |1 - 2r/F|^2 is Eq-of-motion form of the output."""
+def _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio, partials=False):
+    """T on a known branch; |1 - 2r/F|^2 is Eq-of-motion form of the output.
+
+    With partials=True also returns dT/d(u, delta_c, delta_a, cooperativity,
+    kappa_ratio) at fixed u: dT = Re(w dF) - 4 Re(conj(A)/F) dr with
+    A = 1 - 2r/F and w = 4r conj(A)/F^2.
+    """
     d = 1.0 + delta_a * delta_a + 2.0 * u
-    f = 1.0 + 1j * delta_c + 4.0 * cooperativity * (1.0 - 1j * delta_a) / d
+    g = 4.0 * cooperativity * (1.0 - 1j * delta_a) / d  # the atoms' share of F
+    f = 1.0 + 1j * delta_c + g
     t_amp = 1.0 - 2.0 * kappa_ratio / f
-    return np.abs(t_amp) ** 2
+    t = np.abs(t_amp) ** 2
+    if not partials:
+        return t
+    w = 4.0 * kappa_ratio * np.conj(t_amp) / (f * f)
+    return t, (
+        -2.0 * (w * g / d).real,  # dF/du = -2g/D
+        -w.imag,  # dF/d(delta_c) = i
+        -(w * (4j * cooperativity + 2.0 * delta_a * g) / d).real,
+        (w * 4.0 * (1.0 - 1j * delta_a) / d).real,
+        -4.0 * (np.conj(t_amp) / f).real,
+    )
+
+
+def _steady_transmission(y2, delta_c, delta_a, cooperativity, kappa_ratio,
+                         policy: BranchPolicy = LOWEST, sweep=False, partials=False):
+    """Transmission on the branch policy picks, per broadcast parameter row.
+
+    A scalar y2 == 0 is the weak limit: u = 0 is the only root and no cubic
+    is solved. With partials=True also returns dT/d(y2, delta_c, delta_a,
+    cooperativity, kappa_ratio), the root differentiated implicitly,
+    du/dtheta = -(dG/dtheta)/G'(u); NaN where G'(u) is rounding noise (a
+    double root).
+    """
+    if np.ndim(y2) == 0 and y2 == 0.0:
+        u = np.zeros(np.broadcast(delta_c, delta_a).shape)
+    else:
+        roots, counts = _roots_grid(y2, delta_c, delta_a, cooperativity)
+        u = select_branch(roots, counts, policy, sweep)
+    if not partials:
+        return _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio)
+    t, (t_u, t_dc, t_da, t_c, t_r) = _transmission_from_u(
+        u, delta_c, delta_a, cooperativity, kappa_ratio, partials=True)
+    c3, c2, c1, _ = _cubic_coeffs(y2, delta_c, delta_a, cooperativity)
+    g_u = np.where(_derivative_resolved(u, c3, c2, c1), (3.0 * c3 * u + 2.0 * c2) * u + c1, np.nan)
+    k = -t_u / g_u  # dT/du du/dtheta = k dG/dtheta
+    # G = u (P^2 + Q^2) - y2 D^2, P = D + 4C, Q = delta_c D - 4C delta_a
+    d = 1.0 + delta_a * delta_a + 2.0 * u
+    p = d + 4.0 * cooperativity
+    q = delta_c * d - 4.0 * cooperativity * delta_a
+    return t, (
+        -k * d * d,
+        t_dc + k * 2.0 * u * q * d,
+        t_da + k * 4.0 * (u * (delta_a * p + q * (delta_c * delta_a - 2.0 * cooperativity))
+                          - y2 * d * delta_a),
+        t_c + k * 8.0 * u * (p - delta_a * q),
+        t_r,
+    )
 
 
 def select_branch(roots, counts, policy: BranchPolicy, sweep: bool = False):
@@ -308,10 +360,8 @@ def weak_transmission(delta_c, delta_a, cooperativity, kappa_ratio):
     T = |1 - (2 kappa_ex/kappa) / (1 + i dc + 4C (1 - i da)/(1 + da^2))|^2.
     Accepts scalars or arrays.
     """
-    delta_c = np.asarray(delta_c, dtype=float)
-    a0 = 1.0 + np.asarray(delta_a, dtype=float) ** 2
-    f = 1.0 + 1j * delta_c + 4.0 * cooperativity * (1.0 - 1j * np.asarray(delta_a)) / a0
-    out = np.abs(1.0 - 2.0 * kappa_ratio / f) ** 2
+    out = _transmission_from_u(0.0, np.asarray(delta_c, dtype=float),
+                               np.asarray(delta_a, dtype=float), cooperativity, kappa_ratio)
     return out if out.ndim else float(out)
 
 
@@ -405,13 +455,8 @@ def spectrum(
     delta_c = omega / cavity.kappa
     delta_a = (omega - TWO_PI * atom_offset_hz) / ensemble.gamma_perp
     y2 = drive_y2(drive, cavity, ensemble.n_sat)
-    c = ensemble.cooperativity
-    r = cavity.kappa_ratio
-    if y2 == 0.0:
-        return weak_transmission(delta_c, delta_a, c, r)
     try:
-        roots, counts = _roots_grid(np.full_like(nu, y2), delta_c, delta_a, c)
+        return _steady_transmission(y2, delta_c, delta_a, ensemble.cooperativity,
+                                    cavity.kappa_ratio, policy, sweep=True)
     except NumericalInstability as exc:
         raise NumericalInstability(f"{exc} (in spectrum sweep)") from exc
-    u = select_branch(roots, counts, policy, sweep=True)
-    return _transmission_from_u(u, delta_c, delta_a, c, r)

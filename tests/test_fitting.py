@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ringcav import fitting
+from ringcav import steady_state as ss
 from ringcav.errors import DegenerateFit, ModelEvaluationFailed
 from ringcav.fitting import Dataset, FitSpec
+from ringcav.params import CavityParams, EnsembleParams
+from ringcav.ring import ring_from_lineshape
+from ringcav.units import TWO_PI, mhz_to_rad
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +218,257 @@ def test_default_init_uses_splitting(weak_spectrum_grid, spectrum_spec):
     data = fitting.generate_synthetic(spectrum_spec, weak_spectrum_grid, truth)
     init = fitting.default_init(data, spectrum_spec)
     assert init["cooperativity"] == pytest.approx(2.5, rel=0.4)
+
+
+# ---------------------------------------------------------------- jacobians
+
+SPECTRUM_X = np.linspace(-20.0, 20.0, 81)
+SATURATION_X = np.logspace(-12.5, -7.5, 30)
+RING_X = np.linspace(-170.0, 170.0, 401)
+MODEL_X = {"atomic_spectrum": SPECTRUM_X, "saturation_curve": SATURATION_X,
+           "empty_ring": RING_X}
+
+_nuisances = {"scale": st.floats(0.5, 2.0), "baseline": st.floats(-0.1, 0.1)}
+_atoms = {"gamma_perp_mhz": st.floats(2.6, 8.0), "gamma_par_mhz": st.floats(2.0, 5.0),
+          "n_sat": st.floats(5.0, 30.0), "kappa_i_mhz": st.floats(0.5, 3.0),
+          "kappa_ex_mhz": st.floats(0.2, 1.0), "lambda_p_nm": st.floats(780.0, 870.0),
+          "fsr_mhz": st.floats(100.0, 200.0), **_nuisances}
+# weak drives over the whole C range, and bistable nW spectra
+_spectra = st.one_of(
+    st.fixed_dictionaries({"cooperativity": st.floats(0.05, 8.0),
+                           "input_power_w": st.floats(1e-13, 1e-9), **_atoms}),
+    st.fixed_dictionaries({"cooperativity": st.floats(3.0, 8.0),
+                           "input_power_w": st.floats(5e-9, 30e-9), **_atoms}),
+)
+_saturation = st.fixed_dictionaries({"cooperativity": st.floats(0.05, 8.0), **_atoms})
+_ring = st.fixed_dictionaries({"finesse": st.floats(5.0, 300.0), "fsr_mhz": st.floats(100.0, 200.0),
+                               "dip_transmission": st.floats(0.01, 0.95),
+                               "nu0_mhz": st.floats(-3.0, 3.0), **_nuisances})
+_drawn = st.one_of(
+    st.tuples(st.just("atomic_spectrum"), _spectra),
+    st.tuples(st.just("saturation_curve"), _saturation),
+    st.tuples(st.just("empty_ring"), _ring),
+)
+
+
+def _values(name, x, p):
+    return fitting.MODELS[name].func(x, p)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_drawn)
+def test_jacobian_matches_central_differences(drawn):
+    # every parameter of the model is free; central differences at h and h/2
+    # bound their own truncation error (|g(h/2) - J| ~ |g(h) - g(h/2)|/3), which
+    # also covers a grid point next to a fold, where the lowest branch jumps
+    name, p = drawn
+    x = MODEL_X[name]
+    free = tuple(p)
+    values, jac = fitting.MODELS[name].func(x, p, free)
+    assert np.array_equal(values, _values(name, x, p))
+    assert jac.shape == (x.size, len(free)) and np.all(np.isfinite(jac))
+    for j, n in enumerate(free):
+        def shifted(v, n=n):
+            return _values(name, x, dict(p, **{n: v}))
+
+        h = 1e-4 * (1.0 if n in ("baseline", "nu0_mhz") else p[n])  # the others are > 0
+        g1 = oracles.centered_gradient(shifted, p[n], h)
+        g2 = oracles.centered_gradient(shifted, p[n], h / 2.0)
+        floor = 1e-7 * np.max(np.abs(g2)) + 1e-12 * np.max(np.abs(values)) / h
+        bad = np.abs(jac[:, j] - g2) > 3.0 * np.abs(g1 - g2) + floor
+        assert not bad.any(), (name, n, x[bad], jac[bad, j], g2[bad])
+
+
+def test_exact_zero_columns():
+    for name, zero in (("atomic_spectrum", ("fsr_mhz", "gamma_par_mhz")),
+                       ("saturation_curve", ("fsr_mhz", "gamma_par_mhz", "gamma_perp_mhz"))):
+        p = dict(fitting.MODELS[name].defaults, cooperativity=5.0)
+        _, jac = fitting.MODELS[name].func(MODEL_X[name], p, zero)
+        assert not np.any(jac)
+
+
+def test_power_column_in_the_weak_limit():
+    # at zero power spectrum() takes the weak limit (u = 0, no cubic); the
+    # power column is then dT/dy2 there, a one-sided derivative
+    p = dict(fitting.MODELS["atomic_spectrum"].defaults, input_power_w=0.0, cooperativity=2.0)
+    values, jac = fitting.MODELS["atomic_spectrum"].func(SPECTRUM_X, p, ("input_power_w",))
+    h = 1e-15
+
+    def forward(step):
+        return (_values("atomic_spectrum", SPECTRUM_X, dict(p, input_power_w=step)) - values) / step
+
+    g1, g2 = forward(h), forward(h / 2.0)
+    richardson = 2.0 * g2 - g1
+    np.testing.assert_allclose(jac[:, 0], richardson, rtol=1e-6, atol=1e-6 * np.abs(g2).max())
+    assert np.any(jac[:, 0] != 0.0)
+
+
+def _problem(spec, data):
+    full, bounds = fitting._resolve(spec)
+    return fitting._Residuals(spec, data, full, np.array([bounds[n][1] for n in spec.free]))
+
+
+def _forward_column(spec, data, theta, j, step):
+    full, _ = fitting._resolve(spec)
+    p = dict(full, **dict(zip(spec.free, theta)))
+    base = fitting.MODELS[spec.model].func(data.x, p)[0]
+    p[spec.free[j]] = theta[j] + step
+    moved = fitting.MODELS[spec.model].func(data.x, p)[0]
+    return np.sqrt(data.weights) * ((moved - base) / step)
+
+
+def test_fallback_column_at_zero_dip():
+    # t and a go as sqrt(dip_transmission): its column is infinite at 0 and
+    # falls back to a forward difference, one more model call
+    spec = FitSpec(model="empty_ring", free=("finesse", "dip_transmission"))
+    data = fitting.generate_synthetic(spec, RING_X, {"finesse": 34.0, "dip_transmission": 0.0},
+                                      noise_sigma=0.01, seed=1)
+    problem = _problem(spec, data)
+    theta = np.array([34.0, 0.0])
+    jac = problem.jacobian(theta)
+    assert problem.n_eval == 2
+    step = np.sqrt(np.finfo(float).eps)
+    np.testing.assert_array_equal(jac[:, 1], _forward_column(spec, data, theta, 1, step))
+    _, analytic = fitting.MODELS["empty_ring"].func(data.x, dict(
+        fitting._resolve(spec)[0], finesse=34.0, dip_transmission=0.0), spec.free)
+    assert np.array_equal(jac[:, 0], np.sqrt(data.weights) * analytic[:, 0])
+    # residuals at the same theta reuse the evaluation
+    problem.residuals(theta)
+    assert problem.n_eval == 2
+
+
+def test_fallback_at_an_unresolved_root_steps_inside_the_bounds(monkeypatch):
+    # a double root (G'(u) below its rounding error) makes every column that
+    # goes through the root NaN; force it on the branch-selected rows only
+    resolved = ss._derivative_resolved
+    monkeypatch.setattr(ss, "_derivative_resolved", lambda u, *c: (
+        np.zeros(u.shape, bool) if u.ndim == 1 else resolved(u, *c)))
+    spec = FitSpec(model="atomic_spectrum", free=("cooperativity", "gamma_perp_mhz", "scale"),
+                   bounds={"cooperativity": (0.0, 1.5)})
+    data = fitting.generate_synthetic(spec, np.linspace(-20.0, 20.0, 201),
+                                      {"cooperativity": 1.5, "gamma_perp_mhz": 4.0, "scale": 1.0})
+    calls = []
+    model = fitting.MODELS["atomic_spectrum"]
+
+    def recording(x, p, free=()):
+        calls.append((p["cooperativity"], tuple(free)))
+        return model.func(x, p, free)
+
+    monkeypatch.setitem(fitting.MODELS, "atomic_spectrum", dataclasses.replace(model, func=recording))
+    problem = _problem(spec, data)
+    theta = np.array([1.5, 4.0, 1.0])
+    jac = problem.jacobian(theta)
+    # one evaluation, then a one-sided difference for the two root columns;
+    # cooperativity sits on its upper bound, so its step goes down
+    assert problem.n_eval == len(calls) == 3
+    assert calls[1] == (1.5 - np.sqrt(np.finfo(float).eps) * 1.5, ())
+    assert np.array_equal(jac[:, 2], np.sqrt(data.weights) * _values(
+        "atomic_spectrum", data.x, dict(fitting._resolve(spec)[0], scale=1.0)))
+    monkeypatch.setattr(ss, "_derivative_resolved", resolved)
+    _, analytic = model.func(data.x, dict(fitting._resolve(spec)[0]), spec.free)
+    np.testing.assert_allclose(jac[:, :2], np.sqrt(data.weights)[:, None] * analytic[:, :2],
+                               rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("spec, x, truth", [
+    (FitSpec(model="atomic_spectrum", free=("cooperativity", "gamma_perp_mhz")),
+     np.linspace(-20.0, 20.0, 161), {"cooperativity": 1.5, "gamma_perp_mhz": 4.0}),
+    (FitSpec(model="saturation_curve", free=("cooperativity", "n_sat")),
+     SATURATION_X, {"cooperativity": 1.5, "n_sat": 12.7}),
+    (FitSpec(model="empty_ring", free=("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz")),
+     np.linspace(-170.0, 170.0, 801),
+     {"finesse": 34.0, "fsr_mhz": 148.0, "dip_transmission": 0.32, "nu0_mhz": 0.4}),
+])
+def test_n_eval_counts_every_model_call(monkeypatch, spec, x, truth):
+    data = fitting.generate_synthetic(spec, x, truth, noise_sigma=0.01, seed=2)
+    model = fitting.MODELS[spec.model]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return model.func(*args, **kwargs)
+
+    monkeypatch.setitem(fitting.MODELS, spec.model, dataclasses.replace(model, func=counting))
+    assert fitting.fit(data, spec).n_eval == len(calls) > 0
+
+
+def test_degenerate_fit_on_3001_points_takes_one_thin_svd(monkeypatch):
+    # far from every resonance the ring is flat, so scale and baseline are
+    # collinear: the flat direction shows only in the SVD, not in column norms
+    spec = FitSpec(model="empty_ring", free=("scale", "baseline"),
+                   fixed={"finesse": 5000.0, "fsr_mhz": 148.0, "dip_transmission": 0.3,
+                          "nu0_mhz": 74.0})
+    data = fitting.generate_synthetic(spec, np.linspace(-50.0, 50.0, 3001),
+                                      {"scale": 1.0, "baseline": 0.0}, noise_sigma=0.01, seed=3)
+    svd = np.linalg.svd
+    shapes = []
+
+    def thin_only(a, *args, **kwargs):
+        shapes.append(kwargs.get("full_matrices", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", thin_only)
+    with pytest.raises(DegenerateFit) as exc_info:
+        fitting.fit(data, spec)
+    assert exc_info.value.parameters == ("baseline", "scale")
+    assert shapes == [False]
+
+
+# ------------------------------------------------------ values, frozen copy
+
+def _frozen_transmission(u, delta_c, delta_a, cooperativity, kappa_ratio):
+    d = 1.0 + delta_a * delta_a + 2.0 * u
+    f = 1.0 + 1j * delta_c + 4.0 * cooperativity * (1.0 - 1j * delta_a) / d
+    return np.abs(1.0 - 2.0 * kappa_ratio / f) ** 2
+
+
+def _frozen_cubic(x, p, spectrum):
+    """The value path before the models carried their jacobian."""
+    cavity = CavityParams(kappa_i=mhz_to_rad(p["kappa_i_mhz"]), kappa_ex=mhz_to_rad(p["kappa_ex_mhz"]),
+                          fsr=p["fsr_mhz"] * 1e6, lambda_p=p["lambda_p_nm"] * 1e-9)
+    gamma_par = mhz_to_rad(p["gamma_par_mhz"])
+    ensemble = EnsembleParams(cooperativity=p["cooperativity"], gamma_par=gamma_par,
+                              gamma_d=mhz_to_rad(p["gamma_perp_mhz"]) - gamma_par / 2.0,
+                              n_sat=p["n_sat"])
+    c, r = ensemble.cooperativity, cavity.kappa_ratio
+    if spectrum:
+        omega = TWO_PI * (np.asarray(x) * 1e6)
+        dc, da = omega / cavity.kappa, (omega - TWO_PI * 0.0) / ensemble.gamma_perp
+        y2 = ss.drive_from_power(p["input_power_w"], cavity, ensemble.n_sat)
+        if y2 == 0.0:
+            a0 = 1.0 + da ** 2
+            f = 1.0 + 1j * dc + 4.0 * c * (1.0 - 1j * da) / a0
+            t = np.abs(1.0 - 2.0 * r / f) ** 2
+        else:
+            roots, _ = ss._roots_grid(np.full_like(omega, y2), dc, da, c)
+            t = _frozen_transmission(roots[:, 0], dc, da, c, r)
+    else:
+        y2 = ss.drive_from_power(np.asarray(x, dtype=float), cavity, ensemble.n_sat)
+        roots, _ = ss._roots_grid(y2, 0.0, 0.0, c)
+        t = _frozen_transmission(roots[:, 0], 0.0, 0.0, c, r)
+    return p["scale"] * t + p["baseline"]
+
+
+def _frozen_ring(x, p):
+    model = ring_from_lineshape(finesse=p["finesse"], fsr=p["fsr_mhz"] * 1e6,
+                                dip_transmission=p["dip_transmission"],
+                                detuning_offset=p["nu0_mhz"] * 1e6)
+    phi = TWO_PI * (np.asarray(x) * 1e6 - model.detuning_offset) / model.fsr
+    e = np.exp(1j * phi)
+    t, a = model.t_coupler, model.a_roundtrip
+    return p["scale"] * np.abs((t - a * e) / (1.0 - t * a * e)) ** 2 + p["baseline"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_drawn, zero_power=st.booleans())
+def test_values_equal_the_frozen_value_path(drawn, zero_power):
+    name, p = drawn
+    if name == "atomic_spectrum" and zero_power:
+        p = dict(p, input_power_w=0.0)
+    x = MODEL_X[name]
+    want = (_frozen_ring(x, p) if name == "empty_ring"
+            else _frozen_cubic(x, p, spectrum=name == "atomic_spectrum"))
+    spec = FitSpec(model=name, free=())
+    assert np.array_equal(fitting.evaluate_model(spec, p, x), want)
+    # the values the fit sees, computed alongside the jacobian, are the same
+    assert np.array_equal(fitting.MODELS[name].func(x, p, tuple(p))[0], want)
