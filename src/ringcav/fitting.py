@@ -10,15 +10,23 @@ spectra, x in W for saturation curves, parameters as named below):
   (finesse, fsr_mhz, dip_transmission, nu0_mhz) parameterization.
 - "saturation_curve": on-resonance transmission versus input power.
 
-The optimizer is scipy.optimize.least_squares (trust-region reflective)
-with an analytic jacobian behind a deterministic multi-start loop:
-8 jittered initializations, best cost wins, ties broken by lowest
-cooperativity. Each model evaluation returns the values and their
-jacobian: the cubic models differentiate the certified intensity root
-implicitly, the ring model uses the closed-form derivative of its field.
-A jacobian column that comes out non-finite (at a double root, or at
-dip_transmission = 0 where the ring goes as its square root) falls back to
-a one-sided difference. Degenerate (flat) parameter directions at the
+The optimizer is a bounded Levenberg-Marquardt loop in numpy
+(least_squares below) with an analytic jacobian, behind a deterministic
+multi-start loop: 8 jittered initializations, best cost wins, ties broken by
+lowest cooperativity. The loop scales the parameters by the column norms of
+the jacobian (More, "The Levenberg-Marquardt algorithm: implementation and
+theory", 1978), updates the damping from the gain ratio (Nielsen,
+IMM-REP-1999-05) and projects each step onto the bounds (Kanzow, Yamashita
+and Fukushima, J. Comput. Appl. Math., 2004). Unlike a trust-region
+reflective solver, it can stop exactly on a bound (C = 0, zero input power,
+gamma_perp_mhz = 2.6, n_sat = 1e4, dip_transmission = 0): a parameter on a
+bound that the gradient pushes outward is held there for the next step.
+Each model evaluation returns the values and their jacobian: the cubic
+models differentiate the certified intensity root implicitly, the ring
+model uses the closed-form derivative of its field. A jacobian column that
+comes out non-finite (at a double root, or at dip_transmission = 0 where
+the ring goes as its square root) falls back to a one-sided difference that
+steps into the bounds. Degenerate (flat) parameter directions at the
 optimum are detected from the jacobian SVD and reported by raising
 DegenerateFit.
 """
@@ -27,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import steady_state as ss
 from .errors import DegenerateFit, ModelEvaluationFailed, NotConverged, RingcavError
@@ -39,6 +46,8 @@ from .units import TWO_PI, mhz_to_rad
 
 N_STARTS = 8
 MAX_NFEV = 2000
+#: scipy.optimize.least_squares' xtol, ftol and gtol, all at this value
+TOL = 1e-14
 #: singular-value ratio below which a parameter direction counts as flat
 DEGENERACY_RATIO = 1e-7
 
@@ -340,13 +349,14 @@ def _jittered_starts(init: dict, bounds: dict, n_starts: int) -> list[dict]:
 
 
 class _Residuals:
-    """Weighted residuals and their jacobian at theta, for least_squares.
+    """Weighted residuals at theta and their jacobian, for least_squares.
 
-    One point costs one model.func call, which returns both; residuals()
-    and jacobian() at the same theta share it. A jacobian column with a
-    non-finite entry is replaced by a one-sided difference of model.func,
-    stepping away from the upper bound, one more call each. n_eval counts
-    every call.
+    Calling it at theta costs one model.func call, which returns the values
+    and the jacobian; it gives the residuals and a callable for the weighted
+    jacobian there. A jacobian column with a non-finite entry is replaced by
+    a one-sided difference of model.func, stepping away from the upper bound,
+    one more call each, made only when the jacobian is asked for. n_eval
+    counts every call.
     """
 
     def __init__(self, spec: FitSpec, data: Dataset, full: dict, upper):
@@ -354,7 +364,6 @@ class _Residuals:
         self.func = MODELS[spec.model].func
         self.w_sqrt = np.sqrt(data.weights)
         self.n_eval = 0
-        self._theta = None
 
     def _call(self, theta, free):
         p = dict(self.full)
@@ -365,23 +374,135 @@ class _Residuals:
         except RingcavError as exc:
             raise ModelEvaluationFailed(f"model {self.spec.model!r} failed: {exc}") from exc
 
-    def _at(self, theta):
-        if self._theta is None or not np.array_equal(theta, self._theta):
-            self._values, self._jac = self._call(theta, self.spec.free)
-            self._theta = np.array(theta, dtype=float)
-        return self._values, self._jac
+    def __call__(self, theta):
+        values, jac = self._call(theta, self.spec.free)
 
-    def residuals(self, theta):
-        return self.w_sqrt * (self._at(theta)[0] - self.data.yobs)
+        def jacobian():
+            # a non-finite entry leaves its column's weighted sum non-finite
+            for j in np.flatnonzero(~np.isfinite(self.w_sqrt @ jac)):
+                step = np.sqrt(np.finfo(float).eps) * max(1.0, abs(theta[j]))
+                shifted = np.array(theta, dtype=float)
+                shifted[j] += step if theta[j] + step <= self.upper[j] else -step
+                jac[:, j] = (self._call(shifted, ())[0] - values) / (shifted[j] - theta[j])
+            return self.w_sqrt[:, None] * jac
 
-    def jacobian(self, theta):
-        values, jac = self._at(theta)
-        for j in np.flatnonzero(~np.isfinite(jac).all(axis=0)):
-            step = np.sqrt(np.finfo(float).eps) * max(1.0, abs(theta[j]))
-            shifted = np.array(theta, dtype=float)
-            shifted[j] += step if theta[j] + step <= self.upper[j] else -step
-            jac[:, j] = (self._call(shifted, ())[0] - values) / (shifted[j] - theta[j])
-        return self.w_sqrt[:, None] * jac
+        return self.w_sqrt * (values - self.data.yobs), jacobian
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Optimum of least_squares: x, cost = 0.5 |fun|^2, and fun and jac at x.
+
+    status is 1 (gtol), 2 (ftol), 3 (xtol) or 4 (ftol and xtol) when the
+    loop converged, 0 when it spent MAX_NFEV evaluations first.
+    """
+
+    x: np.ndarray
+    cost: float
+    fun: np.ndarray
+    jac: np.ndarray
+    status: int
+
+
+#: Nielsen's initial damping, relative to the scaled jacobian's unit diagonal
+_INITIAL_DAMPING = 1e-3
+
+
+def least_squares(fun, x0, lower, upper) -> LeastSquaresResult:
+    """Minimize 0.5 |r(x)|^2 over the box lower <= x <= upper (bounded LM).
+
+    fun(x) returns r(x) and a callable giving the jacobian of r at x; the
+    loop asks for it only at the points it accepts. Each step solves the
+    damped problem min |J p + r|^2 + mu |D p|^2 by least squares on the
+    stacked matrix [J; sqrt(mu) D], never through the normal equations: one
+    QR of [J r] per accepted point reduces J to R, and [R D^-1; sqrt(mu) I]
+    is solved for D p. D holds the column norms of J, which makes the step
+    invariant to the parameters' units (More 1978); they are taken at the
+    current point, not as More's running maximum, which keeps a column that
+    has since gone flat (n_sat on weak data) damped by its largest early
+    curvature. The step is projected onto the box and kept when the cost
+    falls. With a gain ratio rho >= 1/4, mu then shrinks by
+    max(1/3, 1 - (2 rho - 1)^3); after a rejection, or a kept step with
+    rho < 1/4, it grows by a factor that doubles each time (Nielsen 1999),
+    to at least 1, the scaled curvature.
+
+    Active bounds: x may end exactly on a bound (Kanzow, Yamashita and
+    Fukushima 2004 project every step). A parameter on its bound whose
+    gradient points out of the box is held there: the step is solved over
+    the other parameters only.
+
+    The stop rules are those of scipy.optimize.least_squares, with xtol,
+    ftol and gtol all at TOL: gtol on the gradient scaled by the room left
+    to the bound it points at (status 1), ftol on a relative cost reduction
+    with a gain ratio above 1/4 (2), xtol on the projected step against |x|
+    (3; also checked on a rejected step, so damping that grows along a flat
+    direction stops there), both (4), or the budget of MAX_NFEV evaluations
+    of fun (0).
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r, jacobian = fun(x)
+    nfev = 1
+    cost = 0.5 * float(r @ r)
+    if not np.isfinite(cost):
+        raise ValueError("residuals are not finite at the initial point")
+    jac = jacobian()
+    mu, growth = _INITIAL_DAMPING, 2.0
+    status = 0
+    while True:
+        g = jac.T @ r
+        room = np.where(g > 0, x - lower, upper - x)
+        if np.max(np.abs(g * np.where(np.isfinite(room), room, 1.0))) < TOL:
+            status = 1
+        if status or nfev >= MAX_NFEV:
+            break
+        scale = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        # R and Q^T r from one QR of [J r], without forming Q
+        rq = np.linalg.qr(np.column_stack([jac[:, free], r]), mode="r")
+        rq, qtr = rq[:-1, :-1], rq[:-1, -1]
+        # solved in the scaled parameters D p, where R D^-1 has unit columns
+        d = np.where(scale[free] > 0, scale[free], 1.0)
+        rq_scaled, eye = rq / d, np.eye(d.size)
+        rhs = np.concatenate([-qtr, np.zeros(d.size)])
+        while True:
+            dp = np.linalg.lstsq(np.vstack([rq_scaled, np.sqrt(mu) * eye]), rhs, rcond=None)[0]
+            trial = x.copy()
+            trial[free] += dp / d
+            trial = np.clip(trial, lower, upper)
+            step = trial - x
+            r_new, jacobian_new = fun(trial)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new)
+            reduction = cost - cost_new if np.isfinite(cost_new) else -np.inf
+            js = rq @ step[free]
+            predicted = -float(js @ (qtr + 0.5 * js))
+            rho = (reduction / predicted if predicted > 0
+                   else 1.0 if predicted == reduction == 0.0 else 0.0)
+            status = _termination(reduction, cost, np.sqrt(step @ step), np.sqrt(x @ x), rho)
+            if reduction > 0:
+                x, r, cost = trial, r_new, cost_new
+                jac = jacobian_new()
+            if reduction > 0 and rho >= 0.25:
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                growth = 2.0
+            else:
+                # rejected, or kept on a poor model fit: damp the next step at
+                # least as much as the scaled curvature (D^2 = diag J^T J), so it
+                # is a shorter step, not a re-run of this one
+                mu = max(mu * growth, 1.0)
+                growth *= 2.0
+            if reduction > 0 or status or nfev >= MAX_NFEV:
+                break
+        if status:
+            break
+    return LeastSquaresResult(x=x, cost=cost, fun=r, jac=jac, status=status)
+
+
+def _termination(reduction, cost, step_norm, x_norm, rho) -> int:
+    """scipy's stop test: 2 ftol, 3 xtol, 4 both, 0 neither."""
+    f_ok = reduction < TOL * cost and rho > 0.25
+    x_ok = step_norm < TOL * (TOL + x_norm)
+    return 4 if f_ok and x_ok else 2 if f_ok else 3 if x_ok else 0
 
 
 def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
@@ -400,6 +521,8 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     model = MODELS[spec.model]
     if len(spec.free) == 0:
         raise ValueError("no free parameters")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     if data.x.size < 2 * len(spec.free):
         raise ValueError(
             f"need >= {2 * len(spec.free)} points for {len(spec.free)} free parameters, "
@@ -418,10 +541,7 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     best = None
     for start in _jittered_starts(init, bounds, n_starts):
         theta0 = np.array([start[n] for n in names])
-        res = least_squares(
-            problem.residuals, theta0, jac=problem.jacobian, bounds=(lo, hi),
-            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=MAX_NFEV,
-        )
+        res = least_squares(problem, theta0, lo, hi)
         if best is None:
             best = res
             continue

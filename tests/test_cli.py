@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ringcav import io
+from ringcav import fitting, io
 from ringcav.cli import main
+from ringcav.errors import DegenerateFit
 
 
 @pytest.fixture()
@@ -126,6 +127,22 @@ def test_fit_degenerate_exits_5(runner, tmp_path, monkeypatch):
                                    "--allow-degenerate", "--output", "fit.json"])
     assert allowed.exit_code == 0
     assert io.read_json(tmp_path / "fit.json")["degenerate_parameters"] == ["n_sat"]
+
+
+def test_degenerate_fit_stays_within_its_evaluation_budget(runner, tmp_path, monkeypatch):
+    # the data of test_fit_degenerate_exits_5: n_sat is flat, and every start
+    # runs up to its bound. The fit must stop there and flag n_sat, using no
+    # more model evaluations than scipy's trust-region solver did (224)
+    monkeypatch.chdir(tmp_path)
+    runner.invoke(main, ["spectrum", "--y", "1e-3", "--output", "weak.csv"],
+                  catch_exceptions=False)
+    x, yobs, sigma = io.read_dataset_csv(tmp_path / "weak.csv")
+    spec = fitting.FitSpec(model="atomic_spectrum", free=("cooperativity", "n_sat"))
+    with pytest.raises(DegenerateFit) as exc_info:
+        fitting.fit(fitting.Dataset(x, yobs, sigma), spec)
+    assert exc_info.value.parameters == ("n_sat",)
+    assert exc_info.value.result.converged
+    assert exc_info.value.result.n_eval <= 224
 
 
 def test_fit_bad_fitspec_exits_2(runner, tmp_path, monkeypatch):

@@ -325,15 +325,19 @@ def test_fallback_column_at_zero_dip():
                                       noise_sigma=0.01, seed=1)
     problem = _problem(spec, data)
     theta = np.array([34.0, 0.0])
-    jac = problem.jacobian(theta)
+    residuals, jacobian = problem(theta)
+    assert problem.n_eval == 1
+    jac = jacobian()
     assert problem.n_eval == 2
     step = np.sqrt(np.finfo(float).eps)
     np.testing.assert_array_equal(jac[:, 1], _forward_column(spec, data, theta, 1, step))
     _, analytic = fitting.MODELS["empty_ring"].func(data.x, dict(
         fitting._resolve(spec)[0], finesse=34.0, dip_transmission=0.0), spec.free)
     assert np.array_equal(jac[:, 0], np.sqrt(data.weights) * analytic[:, 0])
-    # residuals at the same theta reuse the evaluation
-    problem.residuals(theta)
+    # the residuals come from the same evaluation
+    assert np.array_equal(residuals, np.sqrt(data.weights) * (_values(
+        "empty_ring", data.x, dict(fitting._resolve(spec)[0], finesse=34.0,
+                                   dip_transmission=0.0)) - data.yobs))
     assert problem.n_eval == 2
 
 
@@ -357,7 +361,7 @@ def test_fallback_at_an_unresolved_root_steps_inside_the_bounds(monkeypatch):
     monkeypatch.setitem(fitting.MODELS, "atomic_spectrum", dataclasses.replace(model, func=recording))
     problem = _problem(spec, data)
     theta = np.array([1.5, 4.0, 1.0])
-    jac = problem.jacobian(theta)
+    jac = problem(theta)[1]()
     # one evaluation, then a one-sided difference for the two root columns;
     # cooperativity sits on its upper bound, so its step goes down
     assert problem.n_eval == len(calls) == 3
@@ -472,3 +476,97 @@ def test_values_equal_the_frozen_value_path(drawn, zero_power):
     assert np.array_equal(fitting.evaluate_model(spec, p, x), want)
     # the values the fit sees, computed alongside the jacobian, are the same
     assert np.array_equal(fitting.MODELS[name].func(x, p, tuple(p))[0], want)
+
+
+# --------------------------------------------------- fit engine vs scipy
+
+_ORACLE_FREE = {"atomic_spectrum": ("cooperativity", "gamma_perp_mhz", "baseline"),
+                "no_atoms": ("cooperativity", "baseline"),
+                "saturation_curve": ("cooperativity", "n_sat"),
+                "empty_ring": ("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz")}
+# how far from the truth both loops start: within the truth's basin. A ring
+# start must keep every dip within its linewidth, fsr/finesse, of the data's
+_ORACLE_SPREAD = {"atomic_spectrum": 0.05, "no_atoms": 0.05, "saturation_curve": 0.05,
+                  "empty_ring": 0.002}
+_weak_spectra = st.fixed_dictionaries({"cooperativity": st.floats(0.05, 8.0),
+                                       "input_power_w": st.floats(1e-13, 1e-9), **_atoms})
+# above C = 2 the on-resonance curve is bistable: its lowest branch jumps at
+# the fold, the cost has kinks, and both loops may stop on different ones
+_monostable_saturation = st.fixed_dictionaries({"cooperativity": st.floats(0.05, 2.0), **_atoms})
+# dips at least about two grid steps wide, so the cost is smooth in fsr and
+# nu0, and at least two of them in view: one dip fixes only fsr/finesse
+_resolved_ring = st.fixed_dictionaries({"finesse": st.floats(5.0, 50.0),
+                                        "fsr_mhz": st.floats(100.0, 160.0),
+                                        "dip_transmission": st.floats(0.01, 0.95),
+                                        "nu0_mhz": st.floats(-3.0, 3.0), **_nuisances})
+_oracle_draws = st.one_of(
+    st.tuples(st.just("atomic_spectrum"), _weak_spectra, st.just({})),
+    st.tuples(st.just("saturation_curve"), _monostable_saturation, st.just({})),
+    st.tuples(st.just("empty_ring"), _resolved_ring, st.just({})),
+    # optima on a bound: no atoms (gamma_perp then has no effect, so it is
+    # fixed), and a ring that (nearly) extinguishes
+    st.tuples(st.just("no_atoms"), _weak_spectra.map(lambda p: dict(p, cooperativity=0.0)),
+              st.just({"cooperativity": (0.0, 5.0)})),
+    st.tuples(st.just("empty_ring"),
+              _resolved_ring.flatmap(lambda p: st.floats(0.0, 1e-3).map(
+                  lambda d: dict(p, dip_transmission=d))),
+              st.just({})),
+)
+
+
+def _scipy_trf(problem, x0, lo, hi):
+    from scipy.optimize import least_squares
+
+    last = {}
+
+    def residuals(theta):
+        last["theta"], (r, last["jacobian"]) = np.array(theta), problem(theta)
+        return r
+
+    def jacobian(theta, *_):
+        if not np.array_equal(theta, last.get("theta")):
+            residuals(theta)
+        return last["jacobian"]()
+
+    tol = fitting.TOL
+    return least_squares(residuals, x0, jac=jacobian, bounds=(lo, hi), method="trf",
+                         xtol=tol, ftol=tol, gtol=tol, max_nfev=fitting.MAX_NFEV)
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=_oracle_draws, seed=st.integers(0, 2**16), offset=st.floats(-1.0, 1.0))
+def test_least_squares_matches_scipy_trf(drawn, seed, offset):
+    # both loops, from one start near the truth, on the same residuals: the
+    # same cost within the fit's tie tolerance, and the same estimates within
+    # 1e-3 of their sigma wherever the optimum is interior
+    case, truth, bounds = drawn
+    free, spread = _ORACLE_FREE[case], _ORACLE_SPREAD[case]
+    name = "atomic_spectrum" if case == "no_atoms" else case
+    spec = FitSpec(model=name, free=free, fixed={k: v for k, v in truth.items() if k not in free},
+                   bounds=bounds)
+    data = fitting.generate_synthetic(spec, MODEL_X[name], {k: truth[k] for k in free},
+                                      noise_sigma=0.01, seed=seed)
+    _, box = fitting._resolve(spec)
+    lo, hi = (np.array([box[n][i] for n in free]) for i in (0, 1))
+    step = spread * offset
+    x0 = np.clip([truth[n] * (1.0 + step) + step for n in free], lo, hi)
+    full, _ = fitting._resolve(spec)
+    ours = fitting.least_squares(fitting._Residuals(spec, data, full, hi), x0, lo, hi)
+    theirs = _scipy_trf(fitting._Residuals(spec, data, full, hi), x0, lo, hi)
+    assert ours.status > 0 and theirs.status > 0
+    assert abs(ours.cost - theirs.cost) <= 1e-9 * (1.0 + min(ours.cost, theirs.cost))
+    _, sv, vt = np.linalg.svd(ours.jac, full_matrices=False)
+    sigma = fitting._covariance_proxy(sv, vt, free, 2.0 * ours.cost / (data.x.size - len(free)))
+    for j, n in enumerate(free):
+        interior = min(ours.x[j] - lo[j], hi[j] - ours.x[j]) > 1e-3 * sigma[n]
+        if interior and np.isfinite(sigma[n]):
+            assert abs(ours.x[j] - theirs.x[j]) <= 1e-3 * sigma[n], (n, ours.x, theirs.x, sigma)
+
+
+def test_fit_rejects_fewer_than_one_start(weak_spectrum_grid, spectrum_spec):
+    data = fitting.generate_synthetic(spectrum_spec, weak_spectrum_grid,
+                                      {"cooperativity": 1.5, "gamma_perp_mhz": 4.0})
+    for n_starts in (0, -3):
+        with pytest.raises(ValueError, match="n_starts"):
+            fitting.fit(data, spectrum_spec, n_starts=n_starts)
+    assert fitting.fit(data, spectrum_spec, n_starts=1).converged

@@ -28,9 +28,13 @@ def test_package_and_numeric_modules_load_no_scipy():
     assert loaded == set()
 
 
-def test_cli_loads_only_what_scipy_optimize_loads():
-    # scipy.optimize pulls in scipy.constants itself (through
-    # scipy.spatial.transform); ringcav must add nothing to that set
-    loaded = _scipy_modules_after("import ringcav.cli")
-    assert "scipy.signal" not in loaded
-    assert loaded == _scipy_modules_after("import scipy.optimize")
+def test_cli_and_a_fit_load_no_scipy():
+    # the fit engine is numpy only: a command that fits imports no scipy
+    loaded = _scipy_modules_after(
+        "import numpy as np; import ringcav.cli; from ringcav import fitting; "
+        "spec = fitting.FitSpec(model='atomic_spectrum', free=('cooperativity',)); "
+        "data = fitting.generate_synthetic(spec, np.linspace(-20.0, 20.0, 41), "
+        "{'cooperativity': 1.5}, noise_sigma=0.01, seed=1); "
+        "assert abs(fitting.fit(data, spec).estimates['cooperativity'] - 1.5) < 0.2"
+    )
+    assert loaded == set()
