@@ -433,11 +433,13 @@ def least_squares(fun, x0, lower, upper) -> LeastSquaresResult:
 
     The stop rules are those of scipy.optimize.least_squares, with xtol,
     ftol and gtol all at TOL: gtol on the gradient scaled by the room left
-    to the bound it points at (status 1), ftol on a relative cost reduction
-    with a gain ratio above 1/4 (2), xtol on the projected step against |x|
-    (3; also checked on a rejected step, so damping that grows along a flat
-    direction stops there), both (4), or the budget of MAX_NFEV evaluations
-    of fun (0).
+    to the bound it points at (status 1); ftol (2) on a relative cost
+    reduction below TOL with a gain ratio above 1/4 (its trf test), or on
+    actual and predicted relative reductions both at most TOL (MINPACK's
+    test, its lm method), which ends a start whose cost sits at its rounding
+    floor; xtol on the projected step against |x| (3; also checked on a
+    rejected step, so damping that grows along a flat direction stops
+    there); both (4); or the budget of MAX_NFEV evaluations of fun (0).
     """
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     r, jacobian = fun(x)
@@ -478,7 +480,8 @@ def least_squares(fun, x0, lower, upper) -> LeastSquaresResult:
             predicted = -float(js @ (qtr + 0.5 * js))
             rho = (reduction / predicted if predicted > 0
                    else 1.0 if predicted == reduction == 0.0 else 0.0)
-            status = _termination(reduction, cost, np.sqrt(step @ step), np.sqrt(x @ x), rho)
+            status = _termination(reduction, predicted, cost, np.sqrt(step @ step),
+                                  np.sqrt(x @ x), rho)
             if reduction > 0:
                 x, r, cost = trial, r_new, cost_new
                 jac = jacobian_new()
@@ -498,9 +501,10 @@ def least_squares(fun, x0, lower, upper) -> LeastSquaresResult:
     return LeastSquaresResult(x=x, cost=cost, fun=r, jac=jac, status=status)
 
 
-def _termination(reduction, cost, step_norm, x_norm, rho) -> int:
+def _termination(reduction, predicted, cost, step_norm, x_norm, rho) -> int:
     """scipy's stop test: 2 ftol, 3 xtol, 4 both, 0 neither."""
-    f_ok = reduction < TOL * cost and rho > 0.25
+    f_ok = (reduction < TOL * cost and rho > 0.25) or (
+        abs(reduction) <= TOL * cost and predicted <= TOL * cost)
     x_ok = step_norm < TOL * (TOL + x_norm)
     return 4 if f_ok and x_ok else 2 if f_ok else 3 if x_ok else 0
 

@@ -488,10 +488,12 @@ _ORACLE_FREE = {"atomic_spectrum": ("cooperativity", "gamma_perp_mhz", "baseline
 # start must keep every dip within its linewidth, fsr/finesse, of the data's
 _ORACLE_SPREAD = {"atomic_spectrum": 0.05, "no_atoms": 0.05, "saturation_curve": 0.05,
                   "empty_ring": 0.002}
+# monostable curves only: a bistable lowest branch jumps at its folds, the
+# cost has kinks there, and the two loops may stop on different ones. Drives
+# up to 10 pW keep every drawn spectrum monostable (y^2 < 1); on resonance
+# the saturation curve is bistable above C = 2
 _weak_spectra = st.fixed_dictionaries({"cooperativity": st.floats(0.05, 8.0),
-                                       "input_power_w": st.floats(1e-13, 1e-9), **_atoms})
-# above C = 2 the on-resonance curve is bistable: its lowest branch jumps at
-# the fold, the cost has kinks, and both loops may stop on different ones
+                                       "input_power_w": st.floats(1e-13, 1e-11), **_atoms})
 _monostable_saturation = st.fixed_dictionaries({"cooperativity": st.floats(0.05, 2.0), **_atoms})
 # dips at least about two grid steps wide, so the cost is smooth in fsr and
 # nu0, and at least two of them in view: one dip fixes only fsr/finesse
