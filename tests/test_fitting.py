@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -516,6 +516,17 @@ _oracle_draws = st.one_of(
 )
 
 
+def _monostable_at(spec, x, theta):
+    """False where a saturation fit has wandered past its fold (C > 2)."""
+    if spec.model != "saturation_curve":
+        return True
+    full, _ = fitting._resolve(spec)
+    full.update(zip(spec.free, theta))
+    cavity, ensemble = fitting._cavity_and_ensemble(full)
+    y2 = ss.drive_from_power(x, cavity, ensemble.n_sat)
+    return ss._roots_grid(y2, 0.0, 0.0, ensemble.cooperativity)[1].max() == 1
+
+
 def _scipy_trf(problem, x0, lo, hi):
     from scipy.optimize import least_squares
 
@@ -556,6 +567,8 @@ def test_least_squares_matches_scipy_trf(drawn, seed, offset):
     ours = fitting.least_squares(fitting._Residuals(spec, data, full, hi), x0, lo, hi)
     theirs = _scipy_trf(fitting._Residuals(spec, data, full, hi), x0, lo, hi)
     assert ours.status > 0 and theirs.status > 0
+    # a poorly determined C can still end on a bistable curve, with kinks
+    assume(_monostable_at(spec, data.x, ours.x) and _monostable_at(spec, data.x, theirs.x))
     assert abs(ours.cost - theirs.cost) <= 1e-9 * (1.0 + min(ours.cost, theirs.cost))
     _, sv, vt = np.linalg.svd(ours.jac, full_matrices=False)
     sigma = fitting._covariance_proxy(sv, vt, free, 2.0 * ours.cost / (data.x.size - len(free)))
