@@ -5,14 +5,14 @@ that dict, and writes each output next to a manifest recording the resolved
 dict. ``rerun MANIFEST`` replays the stored dict through the same function,
 so outputs regenerate bit-identically (only the manifest timestamp moves).
 
-Exit codes: 2 invalid input or configuration, 3 solver failure, 4 fit did
-not converge, 5 degenerate fit (suppress with --allow-degenerate),
-6 lock lost.
+Exit codes: 2 invalid input or configuration (DivergentDrive included),
+3 solver failure, 4 fit did not converge, 5 degenerate fit (suppress with
+--allow-degenerate), 6 lock lost. Each is the ``exit_code`` of the error's
+class (see errors.py); one group handler maps them.
 """
 from __future__ import annotations
 
 import shutil
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,32 +22,10 @@ import numpy as np
 from . import __version__, fitting, io, ring
 from . import steady_state as ss
 from . import thermal
-from .errors import (
-    AmbiguousDrive,
-    DegenerateFit,
-    FinesseTooLow,
-    LockLost,
-    ModelEvaluationFailed,
-    NoRealRoot,
-    NonPositiveRate,
-    NotConverged,
-    NumericalInstability,
-    StepTooCoarse,
-    UnknownUnit,
-)
+from .errors import AmbiguousDrive, DegenerateFit, RingcavError
 from .params import NOMINAL, merge_document, params_from_dict
 from .peaks import measure_splitting
 from .units import rad_to_mhz
-
-_VALIDATION_ERRORS = (
-    ValueError,
-    OSError,
-    NonPositiveRate,
-    AmbiguousDrive,
-    UnknownUnit,
-    StepTooCoarse,
-    FinesseTooLow,
-)
 
 _BRANCHES = {
     "lowest": ss.LOWEST,
@@ -57,26 +35,22 @@ _BRANCHES = {
 }
 
 
-def _die(code: int, exc: Exception):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
-
 def _execute(command: str, resolved: dict):
-    try:
-        outputs = RUNNERS[command](resolved)
-    except _VALIDATION_ERRORS as exc:
-        _die(2, exc)
-    except (NoRealRoot, NumericalInstability, ModelEvaluationFailed) as exc:
-        _die(3, exc)
-    except NotConverged as exc:
-        _die(4, exc)
-    except DegenerateFit as exc:
-        _die(5, exc)
-    except LockLost as exc:
-        _die(6, exc)
-    for path in outputs:
+    for path in RUNNERS[command](resolved):
         click.echo(f"wrote {path}")
+
+
+class _Manifest(dict):
+    """A JSON object read from a manifest; a key it lacks makes the manifest invalid."""
+
+    def __missing__(self, key):
+        raise ValueError(f"manifest missing key {key!r}")
+
+
+def _manifest_object(value, where: str = "manifest") -> _Manifest:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must hold a JSON object, got {value!r}")
+    return _Manifest(value)
 
 
 def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
@@ -125,7 +99,22 @@ def _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y,
     return out
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a package, ValueError or OSError failure as one ``error:`` line.
+
+    The exit status is the error class's ``exit_code`` (2 for the
+    built-ins); any other exception is a bug and propagates.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (RingcavError, ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(getattr(exc, "exit_code", 2))
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Fiber ring cavity simulator and estimation tools."""
@@ -178,12 +167,9 @@ def spectrum(params_path, cooperativity, gamma_perp_mhz, n_sat, power_w, y,
              delta_atom_mhz, span_mhz, center_mhz, points, atom_offset_mhz,
              branch, noise, seed, output):
     """Simulate a probe transmission spectrum and write it as CSV."""
-    try:
-        overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat,
-                                       power_w, y, delta_atom_mhz)
-        doc = _load_doc(params_path, overrides)
-    except _VALIDATION_ERRORS as exc:
-        _die(2, exc)
+    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat,
+                                   power_w, y, delta_atom_mhz)
+    doc = _load_doc(params_path, overrides)
     resolved = {
         "doc": doc,
         "span_mhz": span_mhz,
@@ -224,14 +210,11 @@ def _run_saturation(r: dict) -> list:
 def saturation(params_path, cooperativity, gamma_perp_mhz, n_sat, pmin_w,
                pmax_w, points, output):
     """Simulate on-resonance transmission vs probe power (log-spaced grid)."""
-    try:
-        if not (0 < pmin_w < pmax_w):
-            raise ValueError(f"need 0 < pmin ({pmin_w!r}) < pmax ({pmax_w!r})")
-        overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat,
-                                       None, None, None)
-        doc = _load_doc(params_path, overrides)
-    except _VALIDATION_ERRORS as exc:
-        _die(2, exc)
+    if not (0 < pmin_w < pmax_w):
+        raise ValueError(f"need 0 < pmin ({pmin_w!r}) < pmax ({pmax_w!r})")
+    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat,
+                                   None, None, None)
+    doc = _load_doc(params_path, overrides)
     resolved = {
         "doc": doc,
         "pmin_w": pmin_w,
@@ -246,6 +229,8 @@ def saturation(params_path, cooperativity, gamma_perp_mhz, n_sat, pmin_w,
 # --------------------------------------------------------------------- fit
 
 def _fitspec_from_doc(doc: dict) -> fitting.FitSpec:
+    if not isinstance(doc, dict):
+        raise ValueError(f"fitspec must hold a JSON object, got {doc!r}")
     allowed = {"model", "free", "fixed", "bounds", "init"}
     unknown = set(doc) - allowed
     if unknown:
@@ -254,10 +239,10 @@ def _fitspec_from_doc(doc: dict) -> fitting.FitSpec:
         raise ValueError("fitspec must name 'model' and 'free'")
     return fitting.FitSpec(
         model=doc["model"],
-        free=tuple(doc["free"]),
-        fixed=dict(doc.get("fixed", {})),
-        bounds={k: tuple(v) for k, v in doc.get("bounds", {}).items()},
-        init=dict(doc.get("init", {})),
+        free=doc["free"],
+        fixed=doc.get("fixed", {}),
+        bounds=doc.get("bounds", {}),
+        init=doc.get("init", {}),
     )
 
 
@@ -307,13 +292,9 @@ def _run_fit(r: dict) -> list:
 @click.option("--output", type=click.Path(), default="fit.json", show_default=True)
 def fit(data_path, fitspec_path, allow_degenerate, output):
     """Fit a registered model to CSV data; writes estimates and residuals."""
-    try:
-        fitspec_doc = io.read_json(fitspec_path)
-    except _VALIDATION_ERRORS as exc:
-        _die(2, exc)
     resolved = {
         "data": data_path,
-        "fitspec": fitspec_doc,
+        "fitspec": io.read_json(fitspec_path),
         "allow_degenerate": allow_degenerate,
         "output": output,
     }
@@ -385,22 +366,19 @@ def _run_empty_cavity(r: dict) -> list:
 def empty_cavity(data_path, finesse, fsr_mhz, dip_transmission, nu0_mhz,
                  span_mhz, points, noise, seed, output):
     """Fit the bare ring lineshape and derive decay rates from it."""
-    try:
-        truth = None
-        if data_path is None:
-            cavity, _, _ = params_from_dict({})
-            model = ring.ring_from_rates(cavity)
-            truth = {
-                "finesse": finesse if finesse is not None else model.finesse,
-                "fsr_mhz": fsr_mhz if fsr_mhz is not None else cavity.fsr / 1e6,
-                "dip_transmission": (dip_transmission if dip_transmission is not None
-                                     else model.dip_transmission),
-                "nu0_mhz": nu0_mhz,
-            }
-        elif any(v is not None for v in (finesse, fsr_mhz, dip_transmission)):
-            raise ValueError("synthesis truth options conflict with --data")
-    except _VALIDATION_ERRORS as exc:
-        _die(2, exc)
+    truth = None
+    if data_path is None:
+        cavity, _, _ = params_from_dict({})
+        model = ring.ring_from_rates(cavity)
+        truth = {
+            "finesse": finesse if finesse is not None else model.finesse,
+            "fsr_mhz": fsr_mhz if fsr_mhz is not None else cavity.fsr / 1e6,
+            "dip_transmission": (dip_transmission if dip_transmission is not None
+                                 else model.dip_transmission),
+            "nu0_mhz": nu0_mhz,
+        }
+    elif any(v is not None for v in (finesse, fsr_mhz, dip_transmission)):
+        raise ValueError("synthesis truth options conflict with --data")
     resolved = {
         "data": data_path,
         "truth": truth,
@@ -503,13 +481,9 @@ def lock(mode, params_path, duration_s, tau_th_s, shift_per_watt,
          absorption_fraction, heater_power_w, gain_i, setpoint, dt_s,
          step_linewidths, step_at_s, scan_rate_hz_per_s, span_mhz, output):
     """Simulate thermal pulling: closed-loop holds, steps, or open scans."""
-    try:
-        doc = _load_doc(params_path, {})
-    except _VALIDATION_ERRORS as exc:
-        _die(2, exc)
     resolved = {
         "mode": mode,
-        "doc": doc,
+        "doc": _load_doc(params_path, {}),
         "duration_s": duration_s,
         "tau_th_s": tau_th_s,
         "shift_per_watt": shift_per_watt,
@@ -532,7 +506,7 @@ def lock(mode, params_path, duration_s, tau_th_s, shift_per_watt,
 
 def _report_rows(manifest: dict) -> list:
     rows = []
-    resolved = manifest.get("resolved", {})
+    resolved = _manifest_object(manifest.get("resolved", {}), "manifest 'resolved'")
     doc = resolved.get("doc")
     if doc:
         cavity, ensemble, _ = params_from_dict(doc)
@@ -580,7 +554,7 @@ def _run_report(r: dict) -> list:
         mpath = Path(mpath)
         if not mpath.is_file():
             raise ValueError(f"manifest not found: {mpath}")
-        manifest = io.read_json(mpath)
+        manifest = _manifest_object(io.read_json(mpath))
         lines.append(f"[{manifest.get('command', '?')}] {mpath}")
         for name, value in _report_rows(manifest):
             lines.append(f"  {name} = {value}")
@@ -606,7 +580,7 @@ def _run_report(r: dict) -> list:
 def report(manifests, output_dir):
     """Summarize prior runs from their manifests and bundle the outputs."""
     if not manifests:
-        _die(2, ValueError("give at least one manifest"))
+        raise ValueError("give at least one manifest")
     resolved = {"manifests": list(manifests), "output_dir": output_dir}
     _execute("report", resolved)
 
@@ -617,16 +591,11 @@ def report(manifests, output_dir):
 @click.argument("manifest", type=click.Path())
 def rerun(manifest):
     """Re-execute a recorded run; outputs regenerate bit-identically."""
-    try:
-        doc = io.read_json(manifest)
-        command = doc["command"]
-        resolved = doc["resolved"]
-        if command not in RUNNERS:
-            raise ValueError(f"manifest names unknown command {command!r}")
-    except _VALIDATION_ERRORS as exc:
-        _die(2, exc)
-    except KeyError as exc:
-        _die(2, ValueError(f"manifest missing key {exc}"))
+    doc = _manifest_object(io.read_json(manifest))
+    command = doc["command"]
+    resolved = _manifest_object(doc["resolved"], "manifest 'resolved'")
+    if not isinstance(command, str) or command not in RUNNERS:
+        raise ValueError(f"manifest names unknown command {command!r}")
     _execute(command, resolved)
 
 

@@ -1,21 +1,16 @@
 """Exception types shared across the package.
 
-Each maps to a specific failure contract; cli._execute translates them to
-exit codes:
-
-- 2, invalid input: NonPositiveRate, AmbiguousDrive, UnknownUnit,
-  StepTooCoarse, FinesseTooLow, and ValueError or OSError;
-- 3, solver failure: NoRealRoot, NumericalInstability, ModelEvaluationFailed;
-- 4, fit did not converge: NotConverged;
-- 5, degenerate fit: DegenerateFit;
-- 6, lock lost: LockLost.
-
-Other exceptions, DivergentDrive among them, are not caught there.
+Each maps to a specific failure contract. Its class attribute ``exit_code``
+is the status the CLI exits with when it reaches the command line; the
+built-in ValueError and OSError exit 2 there as well, and any other
+exception propagates.
 """
 
 
 class RingcavError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; invalid input unless overridden."""
+
+    exit_code = 2
 
 
 class NonPositiveRate(RingcavError):
@@ -33,9 +28,13 @@ class UnknownUnit(RingcavError):
 class NoRealRoot(RingcavError):
     """The intensity cubic returned no physical root (solver failure)."""
 
+    exit_code = 3
+
 
 class NumericalInstability(RingcavError):
     """Root residual certification failed or coefficients are not finite."""
+
+    exit_code = 3
 
 
 class DivergentDrive(RingcavError):
@@ -49,6 +48,8 @@ class FinesseTooLow(RingcavError):
 class NotConverged(RingcavError):
     """Fit ended by evaluation budget, not by convergence."""
 
+    exit_code = 4
+
 
 class DegenerateFit(RingcavError):
     """Objective is flat along some parameter direction at the optimum.
@@ -56,6 +57,8 @@ class DegenerateFit(RingcavError):
     Carries the offending parameter names and the FitResult so callers may
     opt in to using it anyway.
     """
+
+    exit_code = 5
 
     def __init__(self, message, parameters=(), result=None):
         super().__init__(message)
@@ -66,6 +69,8 @@ class DegenerateFit(RingcavError):
 class ModelEvaluationFailed(RingcavError):
     """Model could not be evaluated at some data point during fitting."""
 
+    exit_code = 3
+
 
 class StepTooCoarse(RingcavError):
     """Integrator step size violates the dt < tau_th/10 contract."""
@@ -73,6 +78,8 @@ class StepTooCoarse(RingcavError):
 
 class LockLost(RingcavError):
     """Probe transmission left the capture range for too many steps."""
+
+    exit_code = 6
 
     def __init__(self, message, time_s=None):
         super().__init__(message)

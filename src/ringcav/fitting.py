@@ -39,7 +39,7 @@ import numpy as np
 from . import steady_state as ss
 from .errors import DegenerateFit, ModelEvaluationFailed, NotConverged, RingcavError
 from .params import (NOMINAL, CavityParams, EnsembleParams, cavity_from_dict, drive_from_dict,
-                     ensemble_from_dict)
+                     ensemble_from_dict, is_number)
 from .peaks import find_transmission_dips, measure_splitting
 from .ring import _lineshape_partials, _ring_transmission, ring_from_lineshape, ring_transmission
 from .units import TWO_PI, mhz_to_rad
@@ -92,9 +92,21 @@ class FitSpec:
     init: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if not isinstance(self.model, str) or self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; have {sorted(MODELS)}")
+        if not (isinstance(self.free, (list, tuple)) and all(isinstance(n, str) for n in self.free)):
+            raise ValueError(f"free must be a list of parameter names, got {self.free!r}")
         object.__setattr__(self, "free", tuple(self.free))
+        for label in ("fixed", "bounds", "init"):
+            if not isinstance(getattr(self, label), dict):
+                raise ValueError(f"{label} must map parameter names to values")
+        for label in ("fixed", "init"):
+            for name, value in getattr(self, label).items():
+                if not is_number(value):
+                    raise ValueError(f"{label} value for {name!r} must be a number, got {value!r}")
+        for name, pair in self.bounds.items():
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_number, pair))):
+                raise ValueError(f"bounds for {name!r} must be a pair of numbers, got {pair!r}")
         overlap = set(self.free) & set(self.fixed)
         if overlap:
             raise ValueError(f"parameters both free and fixed: {sorted(overlap)}")

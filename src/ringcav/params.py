@@ -2,7 +2,7 @@
 
 All angular rates are stored in rad/s (see units.py). Constructors ending in
 ``_from_dict`` implement the external JSON schema, which speaks MHz/nm/W and
-rejects unknown keys.
+rejects unknown keys and values that are not numbers.
 """
 from __future__ import annotations
 
@@ -149,14 +149,26 @@ NOMINAL = {
 }
 
 
+def is_number(value) -> bool:
+    """True for an int or float (numpy's float64 included), False for a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _reject_unknown(section: str, data: dict, allowed: set[str]):
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown keys in {section!r}: {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
+def _check_section(section: str, data: dict, allowed: set[str]):
+    _reject_unknown(section, data, allowed)
+    for key, value in data.items():
+        if not is_number(value):
+            raise ValueError(f"{section} key {key!r} must be a number, got {value!r}")
+
+
 def cavity_from_dict(data: dict) -> CavityParams:
-    _reject_unknown("cavity", data, {"kappa_i_mhz", "kappa_ex_mhz", "fsr_mhz", "lambda_p_nm"})
+    _check_section("cavity", data, {"kappa_i_mhz", "kappa_ex_mhz", "fsr_mhz", "lambda_p_nm"})
     try:
         return CavityParams(
             kappa_i=mhz_to_rad(data["kappa_i_mhz"]),
@@ -170,7 +182,7 @@ def cavity_from_dict(data: dict) -> CavityParams:
 
 def ensemble_from_dict(data: dict) -> EnsembleParams:
     allowed = {"cooperativity", "gamma_par_mhz", "gamma_d_mhz", "gamma_perp_mhz", "n_sat"}
-    _reject_unknown("ensemble", data, allowed)
+    _check_section("ensemble", data, allowed)
     if ("gamma_d_mhz" in data) and ("gamma_perp_mhz" in data):
         raise ValueError("give only one of gamma_d_mhz and gamma_perp_mhz")
     try:
@@ -191,7 +203,7 @@ def ensemble_from_dict(data: dict) -> EnsembleParams:
 
 def drive_from_dict(data: dict) -> DriveParams:
     allowed = {"input_power_w", "y", "delta_atom_mhz", "delta_cavity_mhz"}
-    _reject_unknown("drive", data, allowed)
+    _check_section("drive", data, allowed)
     return DriveParams(
         delta_atom=mhz_to_rad(data.get("delta_atom_mhz", 0.0)),
         delta_cavity=mhz_to_rad(data.get("delta_cavity_mhz", 0.0)),
@@ -214,6 +226,8 @@ def merge_document(base: dict, override: dict) -> dict:
     Plain per-section dict update, except that exclusive key groups
     (gamma_d_mhz/gamma_perp_mhz, input_power_w/y) are replaced as a unit.
     """
+    if not isinstance(override, dict):
+        raise ValueError(f"parameter document must be an object, got {override!r}")
     _reject_unknown("top level", override, {"cavity", "ensemble", "drive"})
     merged = {k: dict(v) for k, v in base.items()}
     for section, values in override.items():

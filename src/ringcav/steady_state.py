@@ -342,11 +342,12 @@ def solve(y, delta_c, delta_a, cooperativity, kappa_ratio, policy: BranchPolicy 
     if not (y > 0.0):
         raise DivergentDrive("y must be > 0 here; use weak_transmission for the y -> 0 limit")
     roots, counts = _roots_grid(np.float64(y) ** 2, delta_c, delta_a, cooperativity)
-    u = select_branch(roots, counts, policy)[0]
-    roots = roots[0, : int(counts[0])]
-    x = field_from_root(y, delta_c, delta_a, cooperativity, u)
-    t = float(np.abs(1.0 - (2j / y) * kappa_ratio * x) ** 2)
-    return SteadyStateSolution(tuple(roots), float(u), complex(x), t)
+    u = select_branch(roots, counts, policy)
+    # T from the one-row array, as spectrum() computes it: numpy's scalar
+    # complex arithmetic can round differently from its array loops
+    t = float(_transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio)[0])
+    x = field_from_root(y, delta_c, delta_a, cooperativity, u[0])
+    return SteadyStateSolution(tuple(roots[0, : int(counts[0])]), float(u[0]), complex(x), t)
 
 
 def transmission(y, delta_c, delta_a, cooperativity, kappa_ratio, policy: BranchPolicy = LOWEST):

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringcav import fitting, io
+from ringcav import cli, errors, fitting, io
 from ringcav.cli import main
 from ringcav.errors import DegenerateFit
 
@@ -245,3 +247,156 @@ def test_rerun_fit_reproduces_json(runner, tmp_path, monkeypatch):
                            catch_exceptions=False)
     assert result.exit_code == 0
     assert (tmp_path / "fit.json").read_bytes() == before
+
+
+# ------------------------------------------------------- exit-code contract
+
+EXIT_CODES = {
+    errors.RingcavError: 2,
+    errors.NonPositiveRate: 2,
+    errors.AmbiguousDrive: 2,
+    errors.UnknownUnit: 2,
+    errors.NoRealRoot: 3,
+    errors.NumericalInstability: 3,
+    errors.DivergentDrive: 2,
+    errors.FinesseTooLow: 2,
+    errors.NotConverged: 4,
+    errors.DegenerateFit: 5,
+    errors.ModelEvaluationFailed: 3,
+    errors.StepTooCoarse: 2,
+    errors.LockLost: 6,
+}
+
+
+def _error_classes(cls=errors.RingcavError):
+    return {cls}.union(*(_error_classes(sub) for sub in cls.__subclasses__()))
+
+
+def test_every_error_class_carries_its_exit_code():
+    assert _error_classes() == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        assert cls.exit_code == code, cls
+
+
+@pytest.mark.parametrize("exc, code", [
+    *[(cls(f"{cls.__name__} raised"), code) for cls, code in EXIT_CODES.items()],
+    (ValueError("bad value"), 2),
+    (OSError("disk gone"), 2),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_group_handler_maps_errors_to_exit_codes(runner, tmp_path, monkeypatch, exc, code):
+    def fail(resolved):
+        raise exc
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.RUNNERS, "spectrum", fail)
+    result = runner.invoke(main, ["spectrum"])
+    assert result.exit_code == code
+    assert result.stderr == f"error: {exc}\n"
+
+
+def test_group_handler_lets_bugs_propagate(runner, tmp_path, monkeypatch):
+    def fail(resolved):
+        raise RuntimeError("a bug")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.RUNNERS, "spectrum", fail)
+    result = runner.invoke(main, ["spectrum"])
+    assert isinstance(result.exception, RuntimeError)
+    assert result.exit_code == 1
+
+
+# --------------------------------------------------------- malformed input
+
+@pytest.mark.parametrize("command, manifest, message", [
+    ("rerun", [1, 2], "manifest must hold a JSON object"),
+    ("rerun", {"command": "spectrum", "resolved": {}}, "manifest missing key 'doc'"),
+    ("rerun", {"command": "lock", "resolved": {"mode": "hold"}}, "manifest missing key 'doc'"),
+    ("rerun", {"command": "spectrum", "resolved": [1]}, "manifest 'resolved' must hold"),
+    ("rerun", {"command": ["spectrum"], "resolved": {}}, "unknown command ['spectrum']"),
+    ("report", [1, 2], "manifest must hold a JSON object"),
+    ("report", {"command": "spectrum", "resolved": {"doc": 5}},
+     "parameter document must be an object"),
+])
+def test_malformed_manifest_exits_2(runner, tmp_path, monkeypatch, command, manifest, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    result = runner.invoke(main, [command, "m.json"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("fitspec, message", [
+    ([["model"]], "fitspec must hold a JSON object"),
+    ({"model": ["empty_ring"], "free": ["finesse"]}, "unknown model"),
+    ({"model": "empty_ring", "free": 5}, "free must be a list of parameter names"),
+    ({"model": "empty_ring", "free": [1]}, "free must be a list of parameter names"),
+    ({"model": "empty_ring", "free": ["finesse"], "fixed": 5}, "fixed must map"),
+    ({"model": "empty_ring", "free": ["finesse"], "bounds": {"finesse": [1.0]}},
+     "bounds for 'finesse' must be a pair of numbers"),
+])
+def test_malformed_fitspec_exits_2(runner, tmp_path, monkeypatch, fitspec, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("detuning_mhz,transmission\n0,0.5\n1,0.6\n2,0.7\n")
+    (tmp_path / "fs.json").write_text(json.dumps(fitspec))
+    result = runner.invoke(main, ["fit", "--data", "d.csv", "--fitspec", "fs.json"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+_NOT_NUMBERS = st.one_of(
+    st.text("ab1.e-", max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.text("xy", max_size=2), max_size=3),
+    st.dictionaries(st.text("xy", max_size=2), st.integers(), max_size=2),
+)
+_PARAM_KEYS = [
+    ("cavity", "kappa_i_mhz"), ("cavity", "kappa_ex_mhz"), ("cavity", "fsr_mhz"),
+    ("cavity", "lambda_p_nm"),
+    ("ensemble", "cooperativity"), ("ensemble", "gamma_par_mhz"), ("ensemble", "gamma_d_mhz"),
+    ("ensemble", "gamma_perp_mhz"), ("ensemble", "n_sat"),
+    ("drive", "input_power_w"), ("drive", "y"), ("drive", "delta_atom_mhz"),
+    ("drive", "delta_cavity_mhz"),
+]
+
+
+def _invoke_in_scratch_dir(files: dict, args: list):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for name, doc in files.items():
+            with open(name, "w") as fh:
+                json.dump(doc, fh)
+        with open("d.csv", "w") as fh:
+            fh.write("detuning_mhz,transmission\n0,0.5\n1,0.6\n2,0.7\n")
+        return runner.invoke(main, args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(_PARAM_KEYS), value=_NOT_NUMBERS)
+def test_params_reject_non_numbers(key, value):
+    section, name = key
+    result = _invoke_in_scratch_dir({"p.json": {section: {name: value}}},
+                                    ["spectrum", "--params", "p.json", "--points", "5"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.stderr
+    assert f"{name!r} must be a number" in result.stderr
+
+
+@settings(max_examples=80, deadline=None)
+@given(slot=st.sampled_from(["fixed", "init", "bounds", "lower", "upper"]), value=_NOT_NUMBERS)
+def test_fitspec_rejects_non_numbers(slot, value):
+    fitspec = {"model": "empty_ring", "free": ["finesse"]}
+    if slot == "fixed":
+        fitspec["fixed"] = {"fsr_mhz": value}
+    elif slot == "init":
+        fitspec["init"] = {"finesse": value}
+    else:
+        fitspec["bounds"] = {"finesse": {"bounds": value, "lower": [value, 100.0],
+                                         "upper": [1.0, value]}[slot]}
+    result = _invoke_in_scratch_dir({"fs.json": fitspec},
+                                    ["fit", "--data", "d.csv", "--fitspec", "fs.json"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.stderr
+    assert "must be a" in result.stderr

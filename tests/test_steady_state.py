@@ -126,6 +126,16 @@ def test_transmission_bounded_for_passive_cavity(cavity):
         assert -1e-12 <= t <= 1.0 + 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(y=st.floats(min_value=1e-3, max_value=3.0), dc=detunings, da=detunings, c=coops,
+       r=st.floats(min_value=0.01, max_value=1.0),
+       policy=st.sampled_from([ss.LOWEST, ss.HIGHEST]))
+def test_solve_transmission_is_the_grid_transmission(y, dc, da, c, r, policy):
+    # one formula for T: the single-point solve and the grid path agree to the bit
+    t = ss._steady_transmission(y ** 2, dc, da, c, r, policy)
+    assert ss.solve(y, dc, da, c, r, policy).transmission == t[0]
+
+
 def test_empty_resonant_transmission_value(cavity):
     t = ss.transmission(0.5, 0.0, 0.0, 0.0, cavity.kappa_ratio)
     assert t == pytest.approx((1.0 - 2.0 * cavity.kappa_ratio) ** 2, rel=1e-12)
