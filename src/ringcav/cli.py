@@ -53,6 +53,52 @@ def _manifest_object(value, where: str = "manifest") -> _Manifest:
     return _Manifest(value)
 
 
+def _check_paths(value, where: str) -> None:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"manifest {where!r} must be a list of paths, got {value!r}")
+
+
+def _read_manifest(path) -> _Manifest:
+    manifest = _manifest_object(io.read_json(path))
+    _check_paths(manifest.get("outputs", []), "outputs")
+    return manifest
+
+
+def _json_fits(ptype, value) -> bool:
+    """Whether a JSON value is one an option of click type ptype records."""
+    if isinstance(ptype, click.Choice):
+        return value in ptype.choices
+    if isinstance(ptype, click.types.BoolParamType):
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if isinstance(ptype, click.types.IntParamType):
+        return isinstance(value, int)
+    if isinstance(ptype, click.types.FloatParamType):
+        return isinstance(value, (int, float))
+    return isinstance(value, str)  # click.Path
+
+
+def _check_resolved(command: str, resolved: dict) -> None:
+    """Reject recorded option values of the wrong JSON type before a runner reads them."""
+    _check_paths(resolved.get("inputs", []), "inputs")
+    if command == "empty-cavity" and resolved.get("data") is None:
+        truth = _manifest_object(resolved["truth"], "manifest 'truth'")
+        if not all(_json_fits(click.FLOAT, v) for v in truth.values()):
+            raise ValueError(f"manifest 'truth' must map parameters to numbers, got {truth!r}")
+    for param in main.commands[command].params:
+        key = "data" if param.name == "data_path" else param.name
+        if key not in resolved:
+            continue
+        value = resolved[key]
+        if value is None and param.default is None and not param.required:
+            continue
+        values = value if param.nargs == -1 else [value]
+        if not isinstance(values, list) or not all(_json_fits(param.type, v) for v in values):
+            raise ValueError(f"manifest value {key!r} does not fit option "
+                             f"{param.opts[0]} ({param.type.name}): {value!r}")
+
+
 def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
     """Write one manifest per output; returns outputs + manifest paths."""
     manifest = io.build_manifest(command, resolved, [str(p) for p in inputs],
@@ -554,7 +600,7 @@ def _run_report(r: dict) -> list:
         mpath = Path(mpath)
         if not mpath.is_file():
             raise ValueError(f"manifest not found: {mpath}")
-        manifest = _manifest_object(io.read_json(mpath))
+        manifest = _read_manifest(mpath)
         lines.append(f"[{manifest.get('command', '?')}] {mpath}")
         for name, value in _report_rows(manifest):
             lines.append(f"  {name} = {value}")
@@ -591,11 +637,12 @@ def report(manifests, output_dir):
 @click.argument("manifest", type=click.Path())
 def rerun(manifest):
     """Re-execute a recorded run; outputs regenerate bit-identically."""
-    doc = _manifest_object(io.read_json(manifest))
+    doc = _read_manifest(manifest)
     command = doc["command"]
     resolved = _manifest_object(doc["resolved"], "manifest 'resolved'")
     if not isinstance(command, str) or command not in RUNNERS:
         raise ValueError(f"manifest names unknown command {command!r}")
+    _check_resolved(command, resolved)
     _execute(command, resolved)
 
 

@@ -26,7 +26,7 @@ class UnknownUnit(RingcavError):
 
 
 class NoRealRoot(RingcavError):
-    """The intensity cubic returned no physical root (solver failure)."""
+    """The intensity cubic has no physical root: the drive |y|^2 is negative."""
 
     exit_code = 3
 

@@ -40,7 +40,7 @@ from . import steady_state as ss
 from .errors import DegenerateFit, ModelEvaluationFailed, NotConverged, RingcavError
 from .params import (NOMINAL, CavityParams, EnsembleParams, cavity_from_dict, drive_from_dict,
                      ensemble_from_dict, is_number)
-from .peaks import find_transmission_dips, measure_splitting
+from .peaks import _median, find_transmission_dips, measure_splitting
 from .ring import _lineshape_partials, _ring_transmission, ring_from_lineshape, ring_transmission
 from .units import TWO_PI, mhz_to_rad
 
@@ -327,7 +327,7 @@ def default_init(data: Dataset, spec: FitSpec) -> dict:
     if spec.model == "empty_ring":
         dips = find_transmission_dips(data.x, data.yobs)
         if "fsr_mhz" in spec.free and len(dips) >= 2:
-            guess["fsr_mhz"] = float(np.median(np.diff(dips)))
+            guess["fsr_mhz"] = float(_median(np.diff(dips)))
         if "nu0_mhz" in spec.free and len(dips):
             guess["nu0_mhz"] = float(dips[np.argmin(np.abs(dips))])
         if "dip_transmission" in spec.free:

@@ -18,8 +18,11 @@ coupler is
 
     T = |1 - (2i/y) (kappa_ex/kappa) X|^2.
 
-All solver code is vectorized over parameter tuples; every root is certified
-against the cubic's residual before it is returned.
+All solver code is vectorized over parameter tuples. The cubic's largest real
+root always exists (c3 > 0 >= c0); it is taken in closed form and
+Newton-polished, then divided out, and the remaining quadratic gives the other
+two roots without cancellation where both are real and non-negative. Every
+root is certified against the cubic's residual before it is returned.
 """
 from __future__ import annotations
 
@@ -85,43 +88,6 @@ def _cubic_coeffs(y2, delta_c, delta_a, cooperativity):
     return c3, c2, c1, c0
 
 
-def _cubic_roots(c3, c2, c1, c0):
-    """All real roots of each cubic, NaN-padded to shape (n, 3).
-
-    Trigonometric form for the three-real-root case, Cardano with real cube
-    roots otherwise, then a short Newton polish on the original coefficients
-    (analytic formulas lose digits near double roots).
-    """
-    p = c2 / c3
-    q = c1 / c3
-    r = c0 / c3
-    a = q - p * p / 3.0
-    b = 2.0 * p ** 3 / 27.0 - p * q / 3.0 + r
-    roots = np.full(p.shape + (3,), np.nan)
-    disc = -4.0 * a ** 3 - 27.0 * b * b
-    three = disc > 0.0
-    if np.any(three):
-        at, bt = a[three], b[three]
-        m = 2.0 * np.sqrt(-at / 3.0)  # disc > 0 implies a < 0
-        theta = np.arccos(np.clip(3.0 * bt / (at * m), -1.0, 1.0))
-        for k in range(3):
-            roots[three, k] = m * np.cos((theta - TWO_PI * k) / 3.0)
-    one = ~three
-    if np.any(one):
-        ao, bo = a[one], b[one]
-        d = np.sqrt(np.maximum(bo * bo / 4.0 + ao ** 3 / 27.0, 0.0))
-        roots[one, 0] = np.cbrt(-bo / 2.0 + d) + np.cbrt(-bo / 2.0 - d)
-    roots -= (p / 3.0)[..., None]
-    c3e, c2e, c1e, c0e = (np.asarray(c)[..., None] for c in (c3, c2, c1, c0))
-    polish = _derivative_resolved(roots, c3e, c2e, c1e)
-    for _ in range(3):
-        f = _cubic(roots, c3e, c2e, c1e, c0e)
-        fp = (3.0 * c3e * roots + 2.0 * c2e) * roots + c1e
-        step = polish & (fp != 0.0)
-        roots = roots - np.where(step, f / np.where(step, fp, 1.0), 0.0)
-    return roots
-
-
 def _cubic(u, c3, c2, c1, c0):
     return ((c3 * u + c2) * u + c1) * u + c0
 
@@ -138,35 +104,54 @@ def _derivative_resolved(u, c3, c2, c1):
     return np.abs((3.0 * c3 * u + 2.0 * c2) * u + c1) > 8.0 * np.finfo(float).eps * err
 
 
-def _refine_smallest_root(roots, c3, c2, c1, c0):
-    """One step of u = -c0 / (c1 + u (c2 + c3 u)) on each row's smallest root.
+def _newton(u, c3, c2, c1, c0):
+    """Three Newton steps on the cubic, skipped where G' is rounding noise."""
+    polish = _derivative_resolved(u, c3, c2, c1)
+    d2, d1 = 3.0 * c3, 2.0 * c2
+    for _ in range(3):
+        f = _cubic(u, c3, c2, c1, c0)
+        fp = (d2 * u + d1) * u + c1
+        step = polish & (fp != 0.0)
+        u = u - np.where(step, f / np.where(step, fp, 1.0), 0.0)
+    return u
 
+
+def _largest_root(c3, c2, c1, c0):
+    """The largest real root of each cubic; it is >= 0 because c3 > 0 >= c0.
+
+    Seeded by the trigonometric form where the depressed cubic has three real
+    roots and by Cardano's otherwise, clamped to >= 0 and Newton-polished.
     Newton shrinks a root far below 1 by only ~1e-16 per step, so a root of
-    order -c0/c1 (1e-258 at y ~ 1e-129) ends at 0 with residual c0; this
-    step lands on it. A step is kept only where it lowers |G|: on the other
-    roots of a y = 0 cubic it would collapse them onto u = 0.
+    order -c0/c1 (1e-258 at y ~ 1e-129) would end at 0 with residual c0; one
+    step of u = -c0 / (c1 + u (c2 + c3 u)) lands on it, and is kept wherever
+    it lowers |G|.
     """
-    rows = np.arange(roots.shape[0])
-    k = np.argmin(np.where(np.isnan(roots), np.inf, np.abs(roots)), axis=1)
-    small = roots[rows, k]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        refined = -c0 / (c1 + small * (c2 + c3 * small))
-    better = np.abs(_cubic(refined, c3, c2, c1, c0)) < np.abs(_cubic(small, c3, c2, c1, c0))
-    roots = roots.copy()
-    roots[rows[better], k[better]] = refined[better]
-    return roots
+    p = c2 / c3
+    q = c1 / c3
+    a = q - p * p / 3.0
+    b = 2.0 * p * p * p / 27.0 - p * q / 3.0 + c0 / c3
+    a3 = a * a * a
+    m = 2.0 * np.sqrt(np.maximum(-a / 3.0, 0.0))
+    trig = m * np.cos(np.arccos(np.clip(3.0 * b / (a * m), -1.0, 1.0)) / 3.0)
+    d = np.sqrt(np.maximum(b * b / 4.0 + a3 / 27.0, 0.0))
+    cardano = np.cbrt(-b / 2.0 + d) + np.cbrt(-b / 2.0 - d)
+    u = np.where(-4.0 * a3 - 27.0 * b * b > 0.0, trig, cardano) - p / 3.0
+    u = _newton(np.maximum(u, 0.0), c3, c2, c1, c0)
+    step = -c0 / (c1 + u * (c2 + c3 * u))
+    return np.where(np.abs(_cubic(step, c3, c2, c1, c0)) < np.abs(_cubic(u, c3, c2, c1, c0)),
+                    step, u)
 
 
-def _certify(roots, c3, c2, c1, c0):
-    """Masks (ok, bad): physical roots, and those failing RESIDUAL_TOL."""
-    scale = (
-        np.abs(c3 * roots ** 3) + np.abs(c2 * roots * roots) + np.abs(c1 * roots)
-        + np.abs(c0) + 1e-300
-    )
-    # negative-by-rounding roots of the y=0 case clamp to zero
-    ok = ~np.isnan(roots) & (roots > -1e-12 * (1.0 + np.abs(roots)))
-    bad = ok & (np.abs(_cubic(roots, c3, c2, c1, c0)) > RESIDUAL_TOL * scale)
-    return ok, bad
+def _uncertified(u, c3, c2, c1, c0):
+    """Where a root's relative residual is not below RESIDUAL_TOL (NaN included).
+
+    Below the smallest normal float, u moves in steps of 2^-1074 and one step
+    moves G by ~|c1| 2^-1074, so |u| counts as at least that float: the root
+    ~ -c0/c1 of a subnormal drive y^2 is then certifiable.
+    """
+    scale = (np.abs(c3 * u * u * u) + np.abs(c2 * u * u)
+             + np.abs(c1) * np.maximum(np.abs(u), np.finfo(float).tiny) + np.abs(c0))
+    return ~(np.abs(_cubic(u, c3, c2, c1, c0)) <= RESIDUAL_TOL * scale)
 
 
 def _roots_grid(y2, delta_c, delta_a, cooperativity):
@@ -175,6 +160,12 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     Returns (roots, counts): roots is NaN-padded shape (n, 3) sorted
     ascending with NaNs last, counts the per-tuple root count; n is the
     broadcast size of the inputs flattened to one axis.
+
+    The largest root r1 always exists (_largest_root). Dividing it out
+    leaves c3 u^2 + b1 u + b0 with b0 = -c0/r1 >= 0, so the other two roots
+    are physical only where that quadratic's discriminant is >= 0 and
+    b1 < 0; they come from the cancellation-free quadratic formula and are
+    polished on the cubic itself, on those rows only.
     """
     arrs = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (y2, delta_c, delta_a, cooperativity))
@@ -182,25 +173,33 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     y2, delta_c, delta_a, cooperativity = (np.atleast_1d(a).ravel() for a in arrs)
     if not all(np.all(np.isfinite(a)) for a in (y2, delta_c, delta_a, cooperativity)):
         raise NumericalInstability("non-finite solver input")
+    if np.any(y2 < 0.0):
+        # G(u) = u (P^2 + Q^2) - y2 D^2 > 0 for every u >= 0
+        idx = int(np.argmax(y2 < 0.0))
+        raise NoRealRoot(f"negative drive y^2 has no physical root at grid index {idx}")
     c3, c2, c1, c0 = _cubic_coeffs(y2, delta_c, delta_a, cooperativity)
-    roots = _cubic_roots(c3, c2, c1, c0)
-    coeffs = (c3[:, None], c2[:, None], c1[:, None], c0[:, None])
-    ok, bad = _certify(roots, *coeffs)
-    if np.any(bad):
-        roots = _refine_smallest_root(roots, c3, c2, c1, c0)
-        ok, bad = _certify(roots, *coeffs)
-    if np.any(bad):
-        where = np.unique(np.nonzero(bad)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.maximum(_largest_root(c3, c2, c1, c0), 0.0)  # Newton can end a root at 0 below it
+        b1 = c2 + c3 * r1
+        b0 = np.where(r1 > 0.0, -c0 / r1, c1)  # c1 + b1 r1 at r1 = 0
+    disc = b1 * b1 - 4.0 * c3 * b0
+    rows = np.flatnonzero((disc >= 0.0) & (b1 < 0.0))
+    bad = _uncertified(r1, c3, c2, c1, c0)
+    roots = np.full((r1.size, 3), np.nan)
+    roots[:, 0] = r1
+    counts = np.ones(r1.size, dtype=int)
+    if rows.size:
+        coeffs = tuple(c[rows, None] for c in (c3, c2, c1, c0))
+        s = 0.5 * (np.sqrt(disc[rows]) - b1[rows])  # > 0: no cancellation
+        pair = np.maximum(_newton(np.stack([b0[rows] / s, s / c3[rows]], axis=1), *coeffs), 0.0)
+        bad[rows] |= np.any(_uncertified(pair, *coeffs), axis=1)
+        roots[rows] = np.sort(np.column_stack([pair, r1[rows]]), axis=1)
+        counts[rows] = 3
+    if bad.any():
         raise NumericalInstability(
-            f"{int(bad.sum())} root(s) failed residual certification at tol "
-            f"{RESIDUAL_TOL}, first at grid index {int(where[0])}"
+            f"{int(bad.sum())} row(s) failed residual certification at tol "
+            f"{RESIDUAL_TOL}, first at grid index {int(np.argmax(bad))}"
         )
-    roots = np.where(ok, np.maximum(roots, 0.0), np.nan)
-    roots = np.sort(roots, axis=-1)  # NaNs sort last
-    counts = ok.sum(axis=-1)
-    if np.any(counts == 0):
-        idx = int(np.nonzero(counts == 0)[0][0])
-        raise NoRealRoot(f"cubic produced no physical root at grid index {idx} (solver failure)")
     return roots, counts
 
 

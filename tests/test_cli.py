@@ -96,6 +96,15 @@ def test_saturation_command(runner, tmp_path, monkeypatch):
     assert np.ptp(cols["transmission_empty"]) == 0.0
 
 
+def test_saturation_at_the_benchmarks_pinned_n_sat_exits_0(runner, tmp_path, monkeypatch):
+    # the empty-cavity column (C = 0) of this 40 000-point curve has a double
+    # root at u = -1/2; the trigonometric/Cardano solver once failed it
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["saturation", "--n-sat", "12.95210292336981", "--pmin-w",
+                                  "1e-12", "--pmax-w", "1e-05", "--points", "40000"])
+    assert result.exit_code == 0, result.output
+
+
 def test_saturation_bad_power_range_exits_2(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, ["saturation", "--pmin-w", "1e-8", "--pmax-w", "1e-12"])
@@ -319,6 +328,36 @@ def test_group_handler_lets_bugs_propagate(runner, tmp_path, monkeypatch):
 ])
 def test_malformed_manifest_exits_2(runner, tmp_path, monkeypatch, command, manifest, message):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    result = runner.invoke(main, [command, "m.json"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("command, edit, manifest, message", [
+    ("rerun", {"points": "abc"}, None, "manifest value 'points' does not fit option --points"),
+    ("rerun", {"output": None}, None, "manifest value 'output' does not fit option --output"),
+    ("rerun", {"branch": "sideways"}, None, "manifest value 'branch' does not fit option"),
+    ("rerun", {"inputs": 5}, None, "manifest 'inputs' must be a list of paths"),
+    ("rerun", None, {"command": "empty-cavity", "resolved": {
+        "data": None, "truth": {"finesse": "abc", "fsr_mhz": 148.0, "dip_transmission": 0.32,
+                                "nu0_mhz": 0.0},
+        "span_mhz": 340.0, "points": 301, "noise": 0.01, "seed": 0, "output": "e.json"}},
+     "manifest 'truth' must map parameters to numbers"),
+    ("report", None, {"command": "spectrum", "resolved": {}, "outputs": 5},
+     "manifest 'outputs' must be a list of paths"),
+])
+def test_malformed_manifest_values_exit_2(runner, tmp_path, monkeypatch, command, edit,
+                                          manifest, message):
+    # a value of the wrong JSON type is refused where the manifest is read,
+    # not left to raise TypeError inside a runner
+    monkeypatch.chdir(tmp_path)
+    if manifest is None:
+        runner.invoke(main, ["spectrum", "--points", "11", "--output", "s.csv"],
+                      catch_exceptions=False)
+        manifest = io.read_json("s.csv.manifest.json")
+        manifest["resolved"].update(edit)
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     result = runner.invoke(main, [command, "m.json"])
     assert result.exit_code == 2

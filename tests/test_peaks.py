@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks as scipy_find_peaks
 
@@ -138,3 +138,20 @@ def test_find_peaks_matches_scipy_on_long_signals(seed):
         floor = max(0.01 * np.ptp(y), peaks._noise_prominence_floor(y))
         for cut in (0.0, 0.05, floor, np.median(exact), np.max(exact)):
             _assert_same_peaks(y, cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.nan])),
+                  min_size=1, max_size=40))
+@example(x=[3.0, 1.0, 2.0])
+@example(x=[4.0, 1.0, 3.0, 2.0])
+@example(x=[1.0, np.nan, 2.0])
+@example(x=[-0.0])
+def test_median_is_numpys_bit_for_bit(x):
+    x = np.array(x)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum past 1.8e308
+        mine, ref = peaks._median(x), np.median(x)
+    if np.isnan(ref):
+        assert np.isnan(mine)
+    else:
+        assert np.float64(mine).tobytes() == np.float64(ref).tobytes()

@@ -83,6 +83,24 @@ def test_roots_grid_vectorization_matches_scalar():
         np.testing.assert_allclose(roots[k, : counts[k]], single, rtol=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(y2=st.floats(0.0, 1e9), dc=st.floats(-1e3, 1e3), da=st.floats(-1e3, 1e3),
+       c=st.floats(0.0, 1e4))
+# false failures of the trigonometric/Cardano solver over this domain: a
+# depressed-cubic discriminant that cancels into three false real roots,
+# and a small pair (0.29, 0.86) that lost its digits beside a root near 1e8
+@example(y2=1e6, dc=0.002474, da=0.05060, c=1.0364)
+@example(y2=1e8, dc=-8.99e-5, da=0.004364, c=7332.0)
+# a subnormal drive, whose root ~3.6e-318 is subnormal too
+@example(y2=2.2250738585e-313, dc=250.0, da=299.0, c=0.0)
+def test_roots_match_oracle_over_the_full_domain(y2, dc, da, c):
+    # every root certifies (else NumericalInstability) and matches the oracle's
+    roots, counts = ss._roots_grid(y2, dc, da, c)
+    ref = oracles.intensity_roots_bracketing(y2, dc, da, c)
+    assert counts[0] == len(ref)
+    np.testing.assert_allclose(roots[0, : counts[0]], ref, rtol=1e-7, atol=1e-12)
+
+
 # ------------------------------------------------------- field/transmission
 
 def test_field_satisfies_defining_equation(cavity, ensemble):
