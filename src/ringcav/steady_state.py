@@ -167,13 +167,14 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     b1 < 0; they come from the cancellation-free quadratic formula and are
     polished on the cubic itself, on those rows only.
     """
-    arrs = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (y2, delta_c, delta_a, cooperativity))
-    )
-    y2, delta_c, delta_a, cooperativity = (np.atleast_1d(a).ravel() for a in arrs)
-    if not all(np.all(np.isfinite(a)) for a in (y2, delta_c, delta_a, cooperativity)):
+    args = (y2, delta_c, delta_a, cooperativity)
+    grid = np.empty((4, *np.broadcast(*args).shape))  # one buffer: one check each
+    grid[0], grid[1], grid[2], grid[3] = args
+    grid = grid.reshape(4, -1)
+    if not np.isfinite(grid).all():
         raise NumericalInstability("non-finite solver input")
-    if np.any(y2 < 0.0):
+    y2, delta_c, delta_a, cooperativity = grid
+    if (y2 < 0.0).any():
         # G(u) = u (P^2 + Q^2) - y2 D^2 > 0 for every u >= 0
         idx = int(np.argmax(y2 < 0.0))
         raise NoRealRoot(f"negative drive y^2 has no physical root at grid index {idx}")

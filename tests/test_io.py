@@ -159,3 +159,52 @@ def test_write_columns_csv_without_columns(tmp_path):
     io.write_columns_csv(tmp_path / "got.csv", [], [])
     _csv_rows_reference(tmp_path / "want.csv", [], [])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _assert_matches_reference(d, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    io.write_columns_csv(d / "got.csv", header, columns)
+    _csv_rows_reference(d / "want.csv", header, columns)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def test_write_columns_csv_random_bits_match_reference(tmp_path):
+    # 1 048 576 float64 bit patterns: every exponent, NaN payloads, subnormals
+    bits = np.random.default_rng(20261018).integers(0, 2**64, size=2**20, dtype=np.uint64)
+    _assert_matches_reference(tmp_path, list(bits.view(float).reshape(4, -1)))
+
+
+def _seam_values():
+    """Where the kernel's decisions change, each with both float neighbours."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    seams = np.array([
+        9.9999999999995e-05, 99999999999.95, 999999999999.5, 1e12,  # fixed/scientific
+        1234567890125.0, 1234567890135.0, 9999999999995.0,  # exact 13-digit ties
+        1e-290, 1e290, 5e-324, 1e-310, 2.2250738585072014e-308,  # the kernel's range, subnormals
+    ])
+    base = np.concatenate([powers, seams])
+    near = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+    return np.concatenate([near, -near, specials])
+
+
+@pytest.mark.parametrize("rows", [0, 1, io.CHUNK_ROWS - 1, io.CHUNK_ROWS + 1,
+                                  2 * io.CHUNK_ROWS + 7])
+def test_write_columns_csv_seams_match_reference(tmp_path, rows):
+    seams = _seam_values()
+    ints = np.array([0, 1, -1, 2**62, -2**62, 2**53 + 1, 10**12 - 1, 10**13 + 5], dtype=np.int64)
+    columns = [np.resize(seams, rows), np.resize(ints, rows),
+               np.resize(np.array([True, False]), rows), np.resize(seams[::-1], rows)]
+    _assert_matches_reference(tmp_path, columns)
+
+
+@pytest.mark.parametrize("column", [
+    np.array([1.0 + 2.0j]),  # would lose its imaginary part
+    np.array(["1.5"]),  # would be parsed
+    np.array(["a"], dtype=object),
+    np.array(1.5),  # 0-d
+    np.zeros((1, 2)),  # 2-D
+], ids=["complex", "str", "object", "0-d", "2-D"])
+def test_write_columns_csv_rejects_non_real_columns(tmp_path, column):
+    with pytest.raises(TypeError):
+        io.write_columns_csv(tmp_path / "x.csv", ["a", "b"], [np.array([0.0]), column])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ringcav import steady_state as ss
-from ringcav.errors import DivergentDrive, NoRealRoot
+from ringcav.errors import DivergentDrive, NoRealRoot, NumericalInstability
 from ringcav.params import DriveParams
 from ringcav.units import TWO_PI
 
@@ -389,3 +389,20 @@ def test_saturation_is_monotone_decreasing(cavity, ensemble):
     assert np.all(np.diff(t) < 0)
     assert t[0] == pytest.approx(0.88006, abs=5e-4)
     assert t[-1] == pytest.approx(0.32129, abs=5e-3)
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_roots_grid_rejects_non_finite_input(which):
+    args = [np.full(3, 0.5) for _ in range(4)]
+    args[which][1] = np.nan if which % 2 else np.inf
+    with pytest.raises(NumericalInstability, match="non-finite solver input"):
+        ss._roots_grid(*args)
+
+
+def test_roots_grid_input_errors():
+    with pytest.raises(NoRealRoot, match="grid index 2"):
+        ss._roots_grid(np.array([1.0, 0.0, -1.0]), 0.0, np.zeros((1, 3)), 1.0)
+    with pytest.raises(TypeError):
+        ss._roots_grid(1.0 + 2.0j, 0.0, 0.0, 1.0)
+    roots, counts = ss._roots_grid(2.0, 0.0, 0.0, 1.0)  # scalars: one row
+    assert roots.shape == (1, 3) and counts.shape == (1,)
