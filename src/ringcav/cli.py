@@ -298,6 +298,7 @@ def _fit_payload(result: fitting.FitResult, degenerate: list) -> dict:
         "residual_rms": result.residual_rms,
         "covariance_proxy": result.covariance_proxy,
         "n_eval": result.n_eval,
+        "n_starts": result.n_starts,
         "converged": result.converged,
         "degenerate_parameters": degenerate,
     }

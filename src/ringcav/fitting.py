@@ -12,9 +12,12 @@ spectra, x in W for saturation curves, parameters as named below):
 
 The optimizer is a bounded Levenberg-Marquardt loop in numpy
 (least_squares below) with an analytic jacobian, behind a deterministic
-multi-start loop: 8 jittered initializations, best cost wins, ties broken by
-lowest cooperativity. The loop scales the parameters by the column norms of
-the jacobian (More, "The Levenberg-Marquardt algorithm: implementation and
+multi-start loop: up to 8 jittered initializations in a fixed order, stopping
+once 3 of them reach the best cost seen so far (after the stopping rules of
+Boender and Rinnooy Kan, Math. Programming 37, 1987: stop once the best
+minimum has been hit several times); best cost wins, ties broken by lowest
+cooperativity. The loop scales the parameters by the column norms of the
+jacobian (More, "The Levenberg-Marquardt algorithm: implementation and
 theory", 1978), updates the damping from the gain ratio (Nielsen,
 IMM-REP-1999-05) and projects each step onto the bounds (Kanzow, Yamashita
 and Fukushima, J. Comput. Appl. Math., 2004). Unlike a trust-region
@@ -45,6 +48,8 @@ from .ring import _lineshape_partials, _ring_transmission, ring_from_lineshape, 
 from .units import TWO_PI, mhz_to_rad
 
 N_STARTS = 8
+#: fit stops its starts once this many have reached the best cost so far
+AGREEING_STARTS = 3
 MAX_NFEV = 2000
 #: scipy.optimize.least_squares' xtol, ftol and gtol, all at this value
 TOL = 1e-14
@@ -129,6 +134,7 @@ class FitResult:
     residual_rms: float
     covariance_proxy: dict  # 1-sigma from quadratic expansion at the optimum
     n_eval: int  # model evaluations, see fit
+    n_starts: int  # starts run, see fit
     converged: bool
 
 
@@ -313,8 +319,7 @@ def default_init(data: Dataset, spec: FitSpec) -> dict:
     zero, dip level from the data minimum.
     All heuristics are overridable through FitSpec.init.
     """
-    model = MODELS[spec.model]
-    full, _ = _resolve(spec)
+    full, bounds = _resolve(spec)
     guess = {name: full[name] for name in spec.free}
     if spec.model == "atomic_spectrum" and "cooperativity" in spec.free:
         try:
@@ -333,8 +338,7 @@ def default_init(data: Dataset, spec: FitSpec) -> dict:
         if "dip_transmission" in spec.free:
             guess["dip_transmission"] = float(np.min(data.yobs))
     guess.update(spec.init)
-    for name in spec.free:
-        lo, hi = spec.bounds.get(name, model.bounds.get(name, (-np.inf, np.inf)))
+    for name, (lo, hi) in bounds.items():
         guess[name] = float(np.clip(guess[name], lo, hi))
     return guess
 
@@ -342,7 +346,10 @@ def default_init(data: Dataset, spec: FitSpec) -> dict:
 def _jittered_starts(init: dict, bounds: dict, n_starts: int) -> list[dict]:
     # deterministic jitter; data-order independent by construction. The
     # spread is capped near the init value so very wide bounds (fsr, nu0)
-    # don't scatter starts into alias basins of periodic models.
+    # don't scatter starts into alias basins of periodic models. An overshoot
+    # is reflected back off its bound, never clipped onto it: a start on
+    # C = 0 is stationary for the box problem when gamma_perp is free. The
+    # jitter is at most a quarter of the box, so the reflection stays inside.
     rng = np.random.default_rng(0)
     starts = [dict(init)]
     names = sorted(init)
@@ -355,7 +362,7 @@ def _jittered_starts(init: dict, bounds: dict, n_starts: int) -> list[dict]:
             if np.isfinite(lo) and np.isfinite(hi):
                 width = min(hi - lo, width)
             v = v + rng.uniform(-0.25, 0.25) * width
-            s[name] = float(np.clip(v, lo, hi))
+            s[name] = float(lo + (lo - v) if v < lo else hi - (v - hi) if v > hi else v)
         starts.append(s)
     return starts
 
@@ -525,14 +532,20 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     """Weighted least-squares fit of the chosen model.
 
     Runs a deterministic multi-start (first start is the heuristic init,
-    the rest jittered within bounds), keeps the best cost, breaks ties by
-    lowest cooperativity. Raises NotConverged if the winner exhausted its
-    evaluation budget, DegenerateFit (carrying the result) if the objective
-    is flat along some parameter direction at the optimum.
+    the rest jittered within bounds, always drawn in the same order), keeps
+    the best cost, breaks ties (costs within 1e-9 (1 + best)) by lowest
+    cooperativity. It stops once AGREEING_STARTS starts have reached the best
+    cost so far, a strictly better cost counting as the first again, or after
+    n_starts starts; a start that ends where some jacobian column is flat
+    (gamma_perp's, on C = 0) takes part in the tie-break but is not counted.
+    Raises NotConverged if the winner exhausted its evaluation budget,
+    DegenerateFit (carrying the result) if the objective is flat along some
+    parameter direction at the optimum.
 
-    n_eval counts model evaluations over all starts: one evaluation is one
-    model.func call over the whole dataset, returning the values and their
-    jacobian; a fallback difference column (see _Residuals) is one more.
+    n_starts in the result counts the starts run. n_eval counts model
+    evaluations over all of them: one evaluation is one model.func call over
+    the whole dataset, returning the values and their jacobian; a fallback
+    difference column (see _Residuals) is one more.
     """
     model = MODELS[spec.model]
     if len(spec.free) == 0:
@@ -554,20 +567,22 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     problem = _Residuals(spec, data, full, hi)
     init = default_init(data, spec)
 
-    best = None
-    for start in _jittered_starts(init, bounds, n_starts):
-        theta0 = np.array([start[n] for n in names])
-        res = least_squares(problem, theta0, lo, hi)
-        if best is None:
-            best = res
-            continue
-        c_new, c_old = res.cost, best.cost
-        tie = abs(c_new - c_old) <= 1e-9 * (1.0 + c_old)
-        if (not tie and c_new < c_old) or (
-            tie and "cooperativity" in names
-            and res.x[names.index("cooperativity")] < best.x[names.index("cooperativity")]
-        ):
-            best = res
+    best, agreeing = None, 0
+    for run, start in enumerate(_jittered_starts(init, bounds, n_starts), 1):
+        res = least_squares(problem, np.array([start[n] for n in names]), lo, hi)
+        # an end point where the cost does not depend on some parameter (on
+        # C = 0, gamma_perp) is reached by every start that runs onto that
+        # face, so it is no evidence for the best minimum
+        hit = not _flat_columns(res.jac).any()
+        if best is None or res.cost < best.cost - 1e-9 * (1.0 + best.cost):
+            best, agreeing = res, hit
+        elif res.cost <= best.cost + 1e-9 * (1.0 + best.cost):
+            agreeing += hit
+            if ("cooperativity" in names and res.x[names.index("cooperativity")]
+                    < best.x[names.index("cooperativity")]):
+                best = res
+        if agreeing >= AGREEING_STARTS:
+            break
 
     converged = best.status > 0
     estimates = {n: float(v) for n, v in zip(names, best.x)}
@@ -580,6 +595,7 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
         residual_rms=float(np.sqrt(np.mean(raw ** 2))),
         covariance_proxy=_covariance_proxy(sv, vt, names, 2.0 * best.cost / dof),
         n_eval=problem.n_eval,
+        n_starts=run,
         converged=bool(converged),
     )
     if not converged:
@@ -619,15 +635,20 @@ def _covariance_proxy(sv, vt, names, s2) -> dict:
     return out
 
 
+def _flat_columns(jac) -> np.ndarray:
+    """Mask of jacobian columns below DEGENERACY_RATIO of the largest (all if all are zero)."""
+    col_norm = np.linalg.norm(jac, axis=0)
+    biggest = col_norm.max() if col_norm.size else 0.0
+    return col_norm < biggest * DEGENERACY_RATIO if biggest > 0 else np.ones(col_norm.size, bool)
+
+
 def _flat_directions(jac, sv, vt, names) -> list:
     """Names of parameters spanning near-null directions of the jacobian.
 
     sv and vt are the jacobian's thin SVD.
     """
-    col_norm = np.linalg.norm(jac, axis=0)
-    biggest = col_norm.max() if col_norm.size else 0.0
-    flat = [n for n, c in zip(names, col_norm) if biggest > 0 and c < biggest * DEGENERACY_RATIO]
-    if biggest == 0.0:
+    flat = [n for n, f in zip(names, _flat_columns(jac)) if f]
+    if len(flat) == len(names):
         return list(names)
     if sv[-1] < sv[0] * DEGENERACY_RATIO:
         null = np.abs(vt[-1])

@@ -123,6 +123,7 @@ def test_fit_roundtrip_via_cli(runner, tmp_path, monkeypatch):
     payload = io.read_json(tmp_path / "fit.json")
     assert payload["converged"] is True
     assert payload["estimates"]["cooperativity"] == pytest.approx(1.5, abs=0.1)
+    assert payload["n_starts"] == fitting.AGREEING_STARTS
     assert (tmp_path / "fit_residuals.csv").exists()
 
 
@@ -173,6 +174,8 @@ def test_empty_cavity_synthesis(runner, tmp_path, monkeypatch):
     der = payload["derived"]
     assert der["finesse"] == pytest.approx(34.1, abs=1.0)
     assert der["fsr_mhz"] == pytest.approx(148.0, abs=1.0)
+    assert fitting.AGREEING_STARTS <= payload["n_starts"] <= fitting.N_STARTS
+    assert payload["n_eval"] >= payload["n_starts"]
     assert (tmp_path / "ec_data.csv").exists()
 
 

@@ -585,3 +585,136 @@ def test_fit_rejects_fewer_than_one_start(weak_spectrum_grid, spectrum_spec):
         with pytest.raises(ValueError, match="n_starts"):
             fitting.fit(data, spectrum_spec, n_starts=n_starts)
     assert fitting.fit(data, spectrum_spec, n_starts=1).converged
+
+
+# ---------------------------------------------------------------- starts
+
+def _tied(a, b):
+    return abs(a - b) <= 1e-9 * (1.0 + b)
+
+
+def _recorded_costs(monkeypatch):
+    """Wrap least_squares; the returned list gets each start's final cost."""
+    costs, real = [], fitting.least_squares
+
+    def recording(*args):
+        res = real(*args)
+        costs.append(res.cost)
+        return res
+
+    monkeypatch.setattr(fitting, "least_squares", recording)
+    return costs
+
+
+def _fit_cost(data, spec):
+    try:
+        result = fitting.fit(data, spec)
+    except DegenerateFit as exc:
+        result = exc.result
+    return result, 0.5 * fitting.objective(data, spec, result.estimates)
+
+
+@pytest.mark.parametrize("init, bounds", [
+    ({"cooperativity": 0.1}, {"cooperativity": (0.0, 50.0)}),
+    ({"cooperativity": 0.0, "gamma_perp_mhz": 2.6},
+     {"cooperativity": (0.0, 50.0), "gamma_perp_mhz": (2.6, 50.0)}),
+    ({"dip_transmission": 0.99}, {"dip_transmission": (0.0, 0.999)}),
+    ({"nu0_mhz": 0.0}, {"nu0_mhz": (-np.inf, 0.01)}),
+])
+def test_jittered_starts_never_begin_on_a_bound(init, bounds):
+    # an overshoot is reflected off its bound, not clipped onto it
+    starts = fitting._jittered_starts(init, bounds, 64)
+    assert starts[0] == init
+    for start in starts[1:]:
+        for name, (lo, hi) in bounds.items():
+            assert lo < start[name] < hi, (name, start)
+
+
+@pytest.mark.parametrize("cap, expected", [
+    (fitting.N_STARTS, fitting.AGREEING_STARTS), (1, 1), (2, 2)])
+def test_n_starts_counts_the_starts_run(monkeypatch, weak_spectrum_grid, spectrum_spec,
+                                        cap, expected):
+    # every start reaches one optimum on these data, so the fit stops after
+    # AGREEING_STARTS of them, or at a lower cap
+    data = fitting.generate_synthetic(spectrum_spec, weak_spectrum_grid,
+                                      {"cooperativity": 1.5, "gamma_perp_mhz": 4.0},
+                                      noise_sigma=0.01, seed=1)
+    costs = _recorded_costs(monkeypatch)
+    result = fitting.fit(data, spectrum_spec, n_starts=cap)
+    assert result.converged
+    assert result.n_starts == len(costs) == expected
+    assert all(_tied(c, min(costs)) for c in costs)
+
+
+def test_ring_fit_stops_early_on_its_best_minimum(monkeypatch):
+    # at the empty-cavity command's default span and points, some starts end
+    # in alias minima of the comb, far above the best cost; the fit stops
+    # before N_STARTS and returns what running all of them returns
+    spec = FitSpec(model="empty_ring", free=("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz"))
+    truth = {"finesse": 34.0, "fsr_mhz": 148.0, "dip_transmission": 0.32, "nu0_mhz": 0.4}
+    data = fitting.generate_synthetic(spec, np.linspace(-170.0, 170.0, 3001), truth,
+                                      noise_sigma=0.01, seed=0)
+    costs = _recorded_costs(monkeypatch)
+    adaptive, adaptive_cost = _fit_cost(data, spec)
+    assert adaptive.n_starts == len(costs) < fitting.N_STARTS
+    assert sum(c > 2.0 * min(costs) for c in costs) >= 2
+
+    monkeypatch.setattr(fitting, "AGREEING_STARTS", fitting.N_STARTS + 1)
+    every, every_cost = _fit_cost(data, spec)
+    assert every.n_starts == fitting.N_STARTS
+    assert _tied(adaptive_cost, every_cost)
+    assert adaptive.estimates == pytest.approx(every.estimates, rel=1e-9)
+
+
+def test_zero_cooperativity_spectra_reach_the_all_starts_cost(monkeypatch):
+    # on C = 0 data most starts run onto the C = 0 face, where gamma_perp's
+    # column vanishes and every start there ties; at seed 11 the first three
+    # do, above the minimum at C = 8e-4, gamma_perp = 2.6 that a later start
+    # finds. Such flat end points must not count toward stopping.
+    spec = FitSpec(model="atomic_spectrum",
+                   free=("cooperativity", "gamma_perp_mhz", "baseline"))
+    truth = {"cooperativity": 0.0, "gamma_perp_mhz": 5.0, "baseline": 0.0}
+    for seed in range(12):
+        data = fitting.generate_synthetic(spec, np.linspace(-20.0, 20.0, 401), truth,
+                                          noise_sigma=0.01, seed=seed)
+        monkeypatch.setattr(fitting, "AGREEING_STARTS", 3)
+        _, adaptive_cost = _fit_cost(data, spec)
+        monkeypatch.setattr(fitting, "AGREEING_STARTS", fitting.N_STARTS + 1)
+        _, every_cost = _fit_cost(data, spec)
+        assert _tied(adaptive_cost, every_cost), seed
+
+
+def _scripted_starts(monkeypatch, outcomes):
+    """least_squares ends start k at cost outcomes[k][0] and cooperativity outcomes[k][1]."""
+    script, real, first = iter(outcomes), fitting.least_squares, []
+
+    def scripted(fun, x0, lower, upper):
+        if not first:
+            first.append(real(fun, x0, lower, upper))
+        cost, cooperativity = next(script)
+        x = first[0].x.copy()
+        x[0] = cooperativity
+        return dataclasses.replace(first[0], x=x, cost=cost)
+
+    monkeypatch.setattr(fitting, "least_squares", scripted)
+
+
+@pytest.mark.parametrize("outcomes, n_run, winner", [
+    # a strictly better cost starts the count again; ties go to the lowest C
+    ([(5.0, 1.0), (5.0, 0.5), (1.0, 2.0), (1.0 + 1e-12, 1.5), (1.0, 1.8)] + [(9.0, 0.1)] * 3,
+     5, 1.5),
+    # a cost repeated above the best does not count
+    ([(1.0, 1.0), (7.0, 0.1), (7.0, 0.2), (7.0, 0.3), (1.0, 1.2), (1.0, 0.9)] + [(9.0, 0.1)] * 2,
+     6, 0.9),
+    # never three at the best: all starts run
+    ([(3.0, 1.0), (2.0, 1.0), (1.0, 1.2), (1.0, 1.1)] + [(4.0, 0.1)] * 4, 8, 1.1),
+])
+def test_stopping_rule_counts_starts_at_the_best_cost(monkeypatch, weak_spectrum_grid,
+                                                     spectrum_spec, outcomes, n_run, winner):
+    data = fitting.generate_synthetic(spectrum_spec, weak_spectrum_grid,
+                                      {"cooperativity": 1.5, "gamma_perp_mhz": 4.0},
+                                      noise_sigma=0.01, seed=1)
+    _scripted_starts(monkeypatch, outcomes)
+    result = fitting.fit(data, spectrum_spec)
+    assert result.n_starts == n_run
+    assert result.estimates["cooperativity"] == winner
