@@ -11,12 +11,9 @@ from .params import CavityParams, DriveParams, EnsembleParams, nominal_params
 from .ring import RingModel, ring_from_lineshape, ring_from_rates, rates_from_ring, ring_transmission
 from .steady_state import (
     BranchPolicy,
-    SteadyStateSolution,
-    solve,
     solve_intensity,
     spectrum,
     splitting_estimate,
-    transmission,
     weak_transmission,
 )
 
@@ -27,16 +24,13 @@ __all__ = [
     "DriveParams",
     "EnsembleParams",
     "RingModel",
-    "SteadyStateSolution",
     "nominal_params",
     "rates_from_ring",
     "ring_from_lineshape",
     "ring_from_rates",
     "ring_transmission",
-    "solve",
     "solve_intensity",
     "spectrum",
     "splitting_estimate",
-    "transmission",
     "weak_transmission",
 ]

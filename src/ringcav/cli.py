@@ -5,10 +5,10 @@ that dict, and writes each output next to a manifest recording the resolved
 dict. ``rerun MANIFEST`` replays the stored dict through the same function,
 so outputs regenerate bit-identically (only the manifest timestamp moves).
 
-Exit codes: 2 invalid input or configuration (DivergentDrive included),
-3 solver failure, 4 fit did not converge, 5 degenerate fit (suppress with
---allow-degenerate), 6 lock lost. Each is the ``exit_code`` of the error's
-class (see errors.py); one group handler maps them.
+Exit codes: 2 invalid input or configuration, 3 solver failure, 4 fit did
+not converge, 5 degenerate fit (suppress with --allow-degenerate), 6 lock
+lost. Each is the ``exit_code`` of the error's class (see errors.py); one
+group handler maps them.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from . import __version__, fitting, io, ring
 from . import steady_state as ss
 from . import thermal
 from .errors import AmbiguousDrive, DegenerateFit, RingcavError
-from .params import NOMINAL, merge_document, params_from_dict
+from .params import NOMINAL, THERMAL_DEFAULTS, merge_document, params_from_dict
 from .peaks import measure_splitting
 from .units import rad_to_mhz
 
@@ -121,27 +121,19 @@ def _load_doc(params_path, overrides: dict) -> dict:
 
 def _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y,
                        delta_atom_mhz) -> dict:
-    ens = {}
-    if cooperativity is not None:
-        ens["cooperativity"] = cooperativity
-    if gamma_perp_mhz is not None:
-        ens["gamma_perp_mhz"] = gamma_perp_mhz
-    if n_sat is not None:
-        ens["n_sat"] = n_sat
-    drv = {}
+    """The options given (not None), as a partial parameter document."""
     if power_w is not None and y is not None:
         raise AmbiguousDrive("give at most one of --power-w and --y")
-    if power_w is not None:
-        drv["input_power_w"] = power_w
-    if y is not None:
-        drv["y"] = y
-    if delta_atom_mhz is not None:
-        drv["delta_atom_mhz"] = delta_atom_mhz
+    sections = {
+        "ensemble": {"cooperativity": cooperativity, "gamma_perp_mhz": gamma_perp_mhz,
+                     "n_sat": n_sat},
+        "drive": {"input_power_w": power_w, "y": y, "delta_atom_mhz": delta_atom_mhz},
+    }
     out = {}
-    if ens:
-        out["ensemble"] = ens
-    if drv:
-        out["drive"] = drv
+    for section, values in sections.items():
+        given = {key: value for key, value in values.items() if value is not None}
+        if given:
+            out[section] = given
     return out
 
 
@@ -455,7 +447,6 @@ def _run_lock(r: dict) -> list:
         heater_power=r["heater_power_w"],
         dt=r["dt_s"] if r["dt_s"] is not None else base.dt,
     )
-    w = cavity.fwhm_hz
     mode = r["mode"]
     out = Path(r["output"])
     metrics_path = out.with_name(out.stem + "_metrics.json")
@@ -465,28 +456,24 @@ def _run_lock(r: dict) -> list:
         disturbance = None
         if mode == "step":
             disturbance = thermal.step_disturbance(r["step_at_s"],
-                                                   r["step_linewidths"] * w)
+                                                   r["step_linewidths"] * cavity.fwhm_hz)
         series = thermal.lock_loop(r["duration_s"], therm, config, cavity,
                                    disturbance=disturbance)
         io.write_timeseries_csv(out, series)
         metrics = dict(series.metrics)
     else:
-        rate = r["scan_rate_hz_per_s"]
-        if rate is None:
-            rate = w / (10.0 * therm.tau_th)
-        span = r["span_mhz"] * 1e6 if r["span_mhz"] is not None else 60.0 * w
+        span = r["span_mhz"] * 1e6 if r["span_mhz"] is not None else None
+        rate, span = thermal.scan_window(therm, cavity, r["scan_rate_hz_per_s"], span)
         if mode == "scan-both":
-            down = thermal.scan_experiment("down", rate, span, therm, config, cavity)
-            up = thermal.scan_experiment("up", rate, span, therm, config, cavity)
+            down, up, ratio = thermal.scan_pair(therm, config, cavity, rate, span)
             io.write_timeseries_csv(out, down)
             up_path = out.with_name(out.stem + "_up.csv")
             io.write_timeseries_csv(up_path, up)
             outputs = [out, up_path, metrics_path]
-            d, u = down.metrics["dwell_s"], up.metrics["dwell_s"]
             metrics = {
-                "dwell_down_s": d,
-                "dwell_up_s": u,
-                "dwell_ratio": d / u,
+                "dwell_down_s": down.metrics["dwell_s"],
+                "dwell_up_s": up.metrics["dwell_s"],
+                "dwell_ratio": ratio,
                 "max_pull_hz": down.metrics["max_pull_hz"],
             }
         else:
@@ -499,6 +486,12 @@ def _run_lock(r: dict) -> list:
     return _finish("lock", r, r["inputs"], outputs)
 
 
+def _thermal_option(key: str, **kwargs):
+    """The lock option named after a THERMAL_DEFAULTS key, with that default."""
+    return click.option("--" + key.replace("_", "-"), type=float,
+                        default=THERMAL_DEFAULTS[key], show_default=True, **kwargs)
+
+
 @main.command()
 @click.option("--mode", type=click.Choice(["hold", "step", "scan-up", "scan-down",
                                            "scan-both"]),
@@ -506,13 +499,12 @@ def _run_lock(r: dict) -> list:
 @click.option("--params", "params_path", type=click.Path(), default=None,
               help="JSON parameter document for the cavity section.")
 @click.option("--duration-s", type=float, default=0.5, show_default=True)
-@click.option("--tau-th-s", type=float, default=10e-3, show_default=True)
-@click.option("--shift-per-watt", type=float, default=-9.23e11, show_default=True,
-              help="Resonance shift per absorbed watt (Hz/W, negative = red).")
-@click.option("--absorption-fraction", type=float, default=0.01, show_default=True)
-@click.option("--heater-power-w", type=float, default=2e-3, show_default=True)
-@click.option("--gain-i", type=float, default=1e9, show_default=True,
-              help="Integral gain (Hz of correction per unit error per second).")
+@_thermal_option("tau_th_s")
+@_thermal_option("shift_per_watt",
+                 help="Resonance shift per absorbed watt (Hz/W, negative = red).")
+@_thermal_option("absorption_fraction")
+@_thermal_option("heater_power_w")
+@_thermal_option("gain_i", help="Integral gain (Hz of correction per unit error per second).")
 @click.option("--setpoint", type=float, default=None,
               help="Probe transmission setpoint; default mid-fringe.")
 @click.option("--dt-s", type=float, default=None,

@@ -21,10 +21,6 @@ class AmbiguousDrive(RingcavError):
     """Both or neither of input power and dimensionless drive were given."""
 
 
-class UnknownUnit(RingcavError):
-    """Unit label outside the supported {rad/s, Hz, MHz} set."""
-
-
 class NoRealRoot(RingcavError):
     """The intensity cubic has no physical root: the drive |y|^2 is negative."""
 
@@ -35,10 +31,6 @@ class NumericalInstability(RingcavError):
     """Root residual certification failed or coefficients are not finite."""
 
     exit_code = 3
-
-
-class DivergentDrive(RingcavError):
-    """Operation requires y > 0 (use the weak-drive form for y = 0)."""
 
 
 class FinesseTooLow(RingcavError):
@@ -73,7 +65,7 @@ class ModelEvaluationFailed(RingcavError):
 
 
 class StepTooCoarse(RingcavError):
-    """Integrator step size violates the dt < tau_th/10 contract."""
+    """Integrator step too coarse: dt >= tau_th/10, or a scan step that jumps the resonance."""
 
 
 class LockLost(RingcavError):

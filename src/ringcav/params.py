@@ -148,6 +148,17 @@ NOMINAL = {
     "drive": {"input_power_w": 30e-12, "delta_atom_mhz": 0.0, "delta_cavity_mhz": 0.0},
 }
 
+#: defaults of ThermalParams, LockConfig and the ``lock`` options, keyed like
+#: those options; not a NOMINAL section, which merge_document would copy into
+#: every command's parameter document
+THERMAL_DEFAULTS = {
+    "tau_th_s": 10e-3,
+    "shift_per_watt": -9.23e11,
+    "absorption_fraction": 0.01,
+    "heater_power_w": 2e-3,
+    "gain_i": 1e9,
+}
+
 
 def is_number(value) -> bool:
     """True for an int or float (numpy's float64 included), False for a bool."""

@@ -95,15 +95,6 @@ def _ring_transmission(nu_hz, model: RingModel, partials=False):
                  -t_phi * phi / fsr, -t_phi * TWO_PI / fsr)
 
 
-def lorentzian_linewidth(model: RingModel) -> float:
-    """Resonance FWHM in Hz, defined as FSR/finesse.
-
-    The closed form FSR (1 - ta)/(pi sqrt(ta)) is identical; dividing by the
-    finesse keeps FWHM * finesse = FSR exact to rounding.
-    """
-    return model.fsr / model.finesse
-
-
 def rates_from_ring(model: RingModel) -> tuple[float, float]:
     """Map (t, a) to angular decay rates (kappa_i, kappa_ex) in rad/s.
 

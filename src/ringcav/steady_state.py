@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentDrive, NoRealRoot, NumericalInstability
+from .errors import NoRealRoot, NumericalInstability
 from .params import CavityParams, DriveParams, EnsembleParams
 from .units import C_VACUUM, H_PLANCK, TWO_PI
 
@@ -59,21 +59,6 @@ class BranchPolicy:
 
 LOWEST = BranchPolicy("lowest")
 HIGHEST = BranchPolicy("highest")
-
-
-@dataclass(frozen=True)
-class SteadyStateSolution:
-    """Root set and the selected branch for one parameter tuple.
-
-    roots_u are all real non-negative intensities sorted ascending;
-    selected_u is the branch chosen by policy; field_x the complex amplitude
-    on that branch; transmission the normalized output power.
-    """
-
-    roots_u: tuple
-    selected_u: float
-    field_x: complex
-    transmission: float
 
 
 def _cubic_coeffs(y2, delta_c, delta_a, cooperativity):
@@ -226,17 +211,6 @@ def solve_intensity(y, delta_c, delta_a, cooperativity):
     return roots[0, : int(counts[0])]
 
 
-def field_from_root(y, delta_c, delta_a, cooperativity, u):
-    """Complex intracavity amplitude X on the branch with intensity u.
-
-    Algebraic inversion of the steady-state relation at fixed u:
-    X = y / (i F(u)) with F = 1 + i dc + 4C (1 - i da) / (1 + da^2 + 2u).
-    """
-    d = 1.0 + delta_a * delta_a + 2.0 * u
-    f = 1.0 + 1j * delta_c + 4.0 * cooperativity * (1.0 - 1j * delta_a) / d
-    return y / (1j * f)
-
-
 def _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio, partials=False):
     """T on a known branch; |1 - 2r/F|^2 is Eq-of-motion form of the output.
 
@@ -332,29 +306,6 @@ def _follow(roots, counts, direction):
     return u
 
 
-def solve(y, delta_c, delta_a, cooperativity, kappa_ratio, policy: BranchPolicy = LOWEST):
-    """Full steady-state solution for one parameter tuple.
-
-    Returns a SteadyStateSolution holding all roots, the branch selected by
-    policy ("lowest" or "highest"; follow_sweep needs a sweep context, use
-    spectrum()), the complex field on it, and the transmission.
-    """
-    if not (y > 0.0):
-        raise DivergentDrive("y must be > 0 here; use weak_transmission for the y -> 0 limit")
-    roots, counts = _roots_grid(np.float64(y) ** 2, delta_c, delta_a, cooperativity)
-    u = select_branch(roots, counts, policy)
-    # T from the one-row array, as spectrum() computes it: numpy's scalar
-    # complex arithmetic can round differently from its array loops
-    t = float(_transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio)[0])
-    x = field_from_root(y, delta_c, delta_a, cooperativity, u[0])
-    return SteadyStateSolution(tuple(roots[0, : int(counts[0])]), float(u[0]), complex(x), t)
-
-
-def transmission(y, delta_c, delta_a, cooperativity, kappa_ratio, policy: BranchPolicy = LOWEST):
-    """Normalized transmission T = |1 - (2i/y)(kappa_ex/kappa) X|^2."""
-    return solve(y, delta_c, delta_a, cooperativity, kappa_ratio, policy).transmission
-
-
 def weak_transmission(delta_c, delta_a, cooperativity, kappa_ratio):
     """Closed-form transmission in the weak-driving limit y -> 0.
 
@@ -389,25 +340,12 @@ def drive_y2(drive: DriveParams, cavity: CavityParams, n_sat) -> float:
     return drive_from_power(drive.input_power, cavity, n_sat)
 
 
-def cooperativity_from_couplings(g_values, kappa, gamma_perp):
-    """Collective cooperativity C = sum_j g_j^2 / (2 kappa gamma_perp)."""
-    g = np.asarray(g_values, dtype=float)
-    if g.size and np.any(g < 0):
-        raise ValueError("coupling strengths must be >= 0")
-    return float(np.sum(g * g) / (2.0 * kappa * gamma_perp))
-
-
 def g_eff_from_nsat(n_sat, gamma_perp, gamma_par):
     """Effective single-emitter coupling from the saturation photon number.
 
     Inverts n_sat = gamma_perp gamma_par / (4 g_eff^2).
     """
     return float(np.sqrt(gamma_perp * gamma_par / (4.0 * n_sat)))
-
-
-def n_sat_from_geff(g_eff, gamma_perp, gamma_par):
-    """Saturation photon number gamma_perp gamma_par / (4 g_eff^2)."""
-    return float(gamma_perp * gamma_par / (4.0 * g_eff ** 2))
 
 
 def n_eff_from_c(cooperativity, g_eff, kappa, gamma_perp):

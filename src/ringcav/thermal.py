@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LockLost, NonPositiveRate, StepTooCoarse
-from .params import CavityParams
+from .params import THERMAL_DEFAULTS, CavityParams
 
 #: consecutive out-of-capture-range steps tolerated before declaring the lock lost
 CAPTURE_PATIENCE = 100
@@ -45,15 +45,16 @@ class ThermalParams:
     absorption_fraction is the fraction of circulating power absorbed.
     """
 
-    tau_th: float = 10e-3
-    shift_per_watt: float = -9.23e11
-    absorption_fraction: float = 0.01
+    tau_th: float = THERMAL_DEFAULTS["tau_th_s"]
+    shift_per_watt: float = THERMAL_DEFAULTS["shift_per_watt"]
+    absorption_fraction: float = THERMAL_DEFAULTS["absorption_fraction"]
 
     def __post_init__(self):
-        if not (self.tau_th > 0):
-            raise NonPositiveRate(f"tau_th must be > 0, got {self.tau_th!r}")
-        if not (self.shift_per_watt < 0):
-            raise ValueError(f"shift_per_watt must be < 0 (red shift), got {self.shift_per_watt!r}")
+        if not (0 < self.tau_th < math.inf):
+            raise NonPositiveRate(f"tau_th must be finite and > 0, got {self.tau_th!r}")
+        if not (-math.inf < self.shift_per_watt < 0):
+            raise ValueError(
+                f"shift_per_watt must be finite and < 0 (red shift), got {self.shift_per_watt!r}")
         if not (0.0 <= self.absorption_fraction <= 1.0):
             raise ValueError(f"absorption_fraction must be in [0, 1], got {self.absorption_fraction!r}")
 
@@ -67,20 +68,21 @@ class ThermalParams:
 class LockConfig:
     """Lock-loop knobs.
 
-    setpoint: target probe transmission on the fringe side; gain_i: integral
-    gain in Hz per unit transmission error per second (per-second, see module
-    docstring); dt: integrator step, contract dt < tau_th/10.
+    setpoint: target probe transmission on the fringe side; dt: integrator
+    step, contract dt < tau_th/10 (default_lock_config derives both); gain_i:
+    integral gain in Hz per unit transmission error per second (per-second,
+    see module docstring); heater_power in W.
     """
 
-    setpoint: float = 0.66
-    gain_i: float = 1.0e9
-    heater_power: float = 2e-3
-    dt: float = 2.5e-4
+    setpoint: float
+    dt: float
+    gain_i: float = THERMAL_DEFAULTS["gain_i"]
+    heater_power: float = THERMAL_DEFAULTS["heater_power_w"]
 
     def __post_init__(self):
-        for name in ("gain_i", "setpoint"):
+        for name in ("setpoint", "dt", "gain_i", "heater_power"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.dt > 0):
             raise NonPositiveRate(f"dt must be > 0, got {self.dt!r}")
         if not (self.heater_power >= 0):
@@ -115,13 +117,6 @@ def _euler(offset, target, rate):
     return offset + rate * (target - offset)
 
 
-def circulating_power(heater_detuning_hz, heater_power: float, cavity: CavityParams):
-    """Lorentzian buildup P_circ = P B / (1 + (2 delta / FWHM)^2)."""
-    out = _lorentzian(np.asarray(heater_detuning_hz, dtype=float),
-                      heater_power * buildup_factor(cavity), cavity.fwhm_hz)
-    return out if out.ndim else float(out)
-
-
 def dip_depth(cavity: CavityParams) -> float:
     """On-resonance transmission drop of the bare cavity, 1 - (1 - 2 kex/k)^2."""
     return 1.0 - (1.0 - 2.0 * cavity.kappa_ratio) ** 2
@@ -131,11 +126,6 @@ def probe_transmission(probe_detuning_hz, cavity: CavityParams):
     """Bare-cavity Lorentzian dip seen by the weak probe."""
     out = _dip(np.asarray(probe_detuning_hz, dtype=float), dip_depth(cavity), cavity.fwhm_hz)
     return out if out.ndim else float(out)
-
-
-def relax(offset: float, p_circ: float, thermal: ThermalParams, dt: float) -> float:
-    """One explicit-Euler step of the single-pole thermal response."""
-    return _euler(offset, thermal.shift_coefficient * p_circ, dt / thermal.tau_th)
 
 
 @dataclass(frozen=True)
@@ -189,12 +179,11 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     """
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    if not (scan_rate > 0):
-        raise NonPositiveRate(f"scan_rate must be > 0, got {scan_rate!r}")
-    if span_hz < 3.0 * cavity.fwhm_hz:
-        raise ValueError(
-            f"span {span_hz!r} Hz must cover >= 3 cold linewidths ({3 * cavity.fwhm_hz:.3g} Hz)"
-        )
+    if not (0 < scan_rate < math.inf):
+        raise NonPositiveRate(f"scan_rate must be finite and > 0, got {scan_rate!r}")
+    if not (3.0 * cavity.fwhm_hz <= span_hz < math.inf):
+        raise ValueError(f"span {span_hz!r} Hz must be finite and cover >= 3 cold "
+                         f"linewidths ({3 * cavity.fwhm_hz:.3g} Hz)")
     _check_dt(config, thermal)
     dt = config.dt
     n = int(math.ceil(span_hz / scan_rate / dt)) + 1
@@ -237,18 +226,40 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     )
 
 
-def scan_dwell_ratio(thermal: ThermalParams, config: LockConfig, cavity: CavityParams,
-                     scan_rate: float | None = None, span_hz: float | None = None):
-    """(down_dwell, up_dwell, ratio) for mirrored scans; ratio is down/up."""
+def scan_window(thermal: ThermalParams, cavity: CavityParams,
+                scan_rate: float | None = None, span_hz: float | None = None):
+    """(scan_rate, span_hz); by default one cold linewidth per 10 tau_th over 60 linewidths."""
     w = cavity.fwhm_hz
-    if scan_rate is None:
-        scan_rate = w / (10.0 * thermal.tau_th)
-    if span_hz is None:
-        span_hz = 60.0 * w
+    return (w / (10.0 * thermal.tau_th) if scan_rate is None else scan_rate,
+            60.0 * w if span_hz is None else span_hz)
+
+
+def scan_pair(thermal: ThermalParams, config: LockConfig, cavity: CavityParams,
+              scan_rate: float | None = None, span_hz: float | None = None):
+    """(down, up, ratio): mirrored scans over one scan_window and their dwell ratio down/up.
+
+    Raises StepTooCoarse when a scan never rises above half buildup: each
+    step then jumps past the resonance, and the ratio would be 0/0 or x/0.
+    """
+    scan_rate, span_hz = scan_window(thermal, cavity, scan_rate, span_hz)
     down = scan_experiment("down", scan_rate, span_hz, thermal, config, cavity)
     up = scan_experiment("up", scan_rate, span_hz, thermal, config, cavity)
     d, u = down.metrics["dwell_s"], up.metrics["dwell_s"]
-    return d, u, d / u
+    if d == 0.0 or u == 0.0:
+        raise StepTooCoarse(
+            f"the {'up' if u == 0.0 else 'down'} scan never rose above half buildup at "
+            f"scan_rate={scan_rate!r} Hz/s and dt={config.dt!r} s "
+            f"({scan_rate * config.dt / cavity.fwhm_hz:.3g} linewidths per step, heater "
+            f"power {config.heater_power!r} W); the dwell ratio is undefined"
+        )
+    return down, up, d / u
+
+
+def scan_dwell_ratio(thermal: ThermalParams, config: LockConfig, cavity: CavityParams,
+                     scan_rate: float | None = None, span_hz: float | None = None):
+    """(down_dwell, up_dwell, ratio) for mirrored scans; ratio is down/up (see scan_pair)."""
+    down, up, ratio = scan_pair(thermal, config, cavity, scan_rate, span_hz)
+    return down.metrics["dwell_s"], up.metrics["dwell_s"], ratio
 
 
 def equilibrium_detuning(target_offset_hz: float, thermal: ThermalParams,
@@ -261,6 +272,8 @@ def equilibrium_detuning(target_offset_hz: float, thermal: ThermalParams,
     s = thermal.shift_coefficient
     if not (target_offset_hz < 0):
         raise ValueError("target offset must be < 0 (red shift only)")
+    if s == 0.0:
+        raise ValueError("shift coefficient is 0: no absorbed heater power moves the resonance")
     p_needed = target_offset_hz / s
     p_max = config.heater_power * buildup_factor(cavity)
     if p_needed > p_max:
@@ -293,8 +306,8 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     band, crossings interpolated), and the final resonance offset.
     """
     _check_dt(config, thermal)
-    if duration_s <= 0:
-        raise ValueError("duration must be > 0")
+    if not (0 < duration_s < math.inf):
+        raise ValueError(f"duration must be finite and > 0, got {duration_s!r}")
     w = cavity.fwhm_hz
     depth = dip_depth(cavity)
     if not (1.0 - depth < config.setpoint < 1.0):
@@ -376,15 +389,15 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
 
 def step_disturbance(t0_s: float, size_hz: float):
     """Step perturbation: 0 before t0_s, size_hz after."""
+    if not (math.isfinite(t0_s) and math.isfinite(size_hz)):
+        raise ValueError(f"step time {t0_s!r} s and size {size_hz!r} Hz must be finite")
     return lambda t: size_hz if t >= t0_s else 0.0
 
 
 def default_lock_config(cavity: CavityParams, thermal: ThermalParams | None = None) -> LockConfig:
-    """Demo lock configuration: mid-fringe setpoint, verified-stable gain."""
+    """Demo lock configuration: mid-fringe setpoint, dt = tau_th/40.
+
+    gain_i (verified stable) and heater_power keep LockConfig's defaults.
+    """
     thermal = thermal or ThermalParams()
-    return LockConfig(
-        setpoint=1.0 - dip_depth(cavity) / 2.0,
-        gain_i=1.0e9,
-        heater_power=2e-3,
-        dt=thermal.tau_th / 40.0,
-    )
+    return LockConfig(setpoint=1.0 - dip_depth(cavity) / 2.0, dt=thermal.tau_th / 40.0)

@@ -1,12 +1,14 @@
 import json
+import re
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringcav import cli, errors, fitting, io
+from ringcav import cli, errors, fitting, io, thermal
 from ringcav.cli import main
 from ringcav.errors import DegenerateFit
 
@@ -221,6 +223,69 @@ def test_lock_lost_exits_6(runner, tmp_path, monkeypatch):
     assert result.exit_code == 6
 
 
+@pytest.mark.parametrize("rate, message", [
+    # each step jumps about 6 linewidths, so the up scan never dwells
+    ("1e11", "scan_rate=100000000000.0 Hz/s and dt=0.00025 s"),
+    ("inf", "scan_rate must be finite"),
+])
+def test_lock_fast_scan_both_exits_2(runner, tmp_path, monkeypatch, rate, message):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["lock", "--mode", "scan-both", "--scan-rate-hz-per-s", rate])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.stderr
+
+
+def test_lock_hold_without_absorption_exits_2(runner, tmp_path, monkeypatch):
+    # nothing absorbed, nothing shifts: the hold's heated equilibrium does not exist
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["lock", "--absorption-fraction", "0"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+
+
+# every float option of lock, run in a mode that reads it
+_LOCK_MODE = {"--step-linewidths": "step", "--step-at-s": "step",
+              "--scan-rate-hz-per-s": "scan-both", "--span-mhz": "scan-up"}
+_LOCK_FLOATS = [p.opts[0] for p in cli.lock.params
+                if isinstance(p.type, click.types.FloatParamType)]
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("option", _LOCK_FLOATS)
+def test_lock_rejects_non_finite_settings(runner, tmp_path, monkeypatch, option, value):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["lock", "--mode", _LOCK_MODE.get(option, "hold"),
+                                  f"{option}={value}"])
+    assert result.exit_code in (2, 6), result.output
+    assert isinstance(result.exception, SystemExit)
+    for path in tmp_path.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_no_constant)
+
+
+def test_lock_help_defaults_are_the_library_defaults(runner, cavity):
+    text = " ".join(runner.invoke(main, ["lock", "--help"]).output.split())
+    shown = {}
+    for chunk in re.split(r" (?=--[a-z])", text):
+        default = re.search(r"\[default: ([^\]]+)\]", chunk)
+        if chunk.split()[1] == "FLOAT" and default:
+            shown[chunk.split()[0]] = float(default.group(1))
+    therm = thermal.ThermalParams()
+    config = thermal.default_lock_config(cavity, therm)
+    library = {"--tau-th-s": therm.tau_th, "--shift-per-watt": therm.shift_per_watt,
+               "--absorption-fraction": therm.absorption_fraction,
+               "--heater-power-w": config.heater_power, "--gain-i": config.gain_i}
+    # the library takes these three as required arguments: only the CLI defaults them
+    cli_only = {"--duration-s", "--step-linewidths", "--step-at-s"}
+    assert set(shown) == set(library) | cli_only
+    for option, value in library.items():
+        assert shown[option] == value, option
+
+
 def test_report_bundles_outputs(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runner.invoke(main, ["spectrum", "--output", "s.csv"], catch_exceptions=False)
@@ -267,10 +332,8 @@ EXIT_CODES = {
     errors.RingcavError: 2,
     errors.NonPositiveRate: 2,
     errors.AmbiguousDrive: 2,
-    errors.UnknownUnit: 2,
     errors.NoRealRoot: 3,
     errors.NumericalInstability: 3,
-    errors.DivergentDrive: 2,
     errors.FinesseTooLow: 2,
     errors.NotConverged: 4,
     errors.DegenerateFit: 5,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,11 +44,12 @@ def test_dip_transmission_closed_form(nominal_ring):
 
 
 def test_finesse_linewidth_product_exact(nominal_ring):
-    # fwhm is defined as fsr/finesse, so the identity holds by construction
-    # (bitwise on the quotient; the product reassociates within 1 ulp)
-    fwhm = ring.lorentzian_linewidth(nominal_ring)
-    assert fwhm == nominal_ring.fsr / nominal_ring.finesse
-    assert fwhm * nominal_ring.finesse == pytest.approx(nominal_ring.fsr, rel=1e-15)
+    # FSR/finesse, the linewidth empty-cavity reports, equals the closed form
+    # FSR (1 - ta)/(pi sqrt(ta)) of the ring's Lorentzian FWHM
+    ta = nominal_ring.t_coupler * nominal_ring.a_roundtrip
+    fwhm = nominal_ring.fsr / nominal_ring.finesse
+    assert fwhm == pytest.approx(nominal_ring.fsr * (1.0 - ta) / (math.pi * math.sqrt(ta)),
+                                 rel=1e-15)
 
 
 def test_nominal_finesse_value(nominal_ring):

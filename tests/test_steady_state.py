@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ringcav import steady_state as ss
-from ringcav.errors import DivergentDrive, NoRealRoot, NumericalInstability
+from ringcav.errors import NoRealRoot, NumericalInstability
 from ringcav.params import DriveParams
 from ringcav.units import TWO_PI
 
@@ -103,20 +103,10 @@ def test_roots_match_oracle_over_the_full_domain(y2, dc, da, c):
 
 # ------------------------------------------------------- field/transmission
 
-def test_field_satisfies_defining_equation(cavity, ensemble):
-    y = 1.3
-    for dc, da, c in [(0.0, 0.0, 1.5), (2.0, -1.0, 3.0), (-4.0, 4.0, 0.2)]:
-        sol = ss.solve(y, dc, da, c, cavity.kappa_ratio)
-        u = sol.selected_u
-        d = 1.0 + da ** 2 + 2.0 * u
-        f = 1.0 + 1j * dc + 4.0 * c * (1.0 - 1j * da) / d
-        assert abs(1j * sol.field_x * f - y) < 1e-8
-
-
 def test_transmission_against_fixed_point_oracle(cavity):
     for dc in (-2.0, 0.0, 1.0):
         for c in (0.0, 1.5):
-            t_mine = ss.transmission(0.3, dc, dc, c, cavity.kappa_ratio)
+            (t_mine,) = ss._steady_transmission(0.3 ** 2, dc, dc, c, cavity.kappa_ratio)
             x = oracles.field_fixed_point(0.3, dc, dc, c)
             t_ref = oracles.transmission_from_field(x, 0.3, cavity.kappa_ratio)
             assert t_mine == pytest.approx(t_ref, abs=1e-9)
@@ -136,26 +126,16 @@ def test_fixed_point_oracle_agrees_with_bracketing_at_nominal_drives(cavity, y2)
 
 def test_transmission_bounded_for_passive_cavity(cavity):
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        y = rng.uniform(0.01, 3.0)
-        dc, da = rng.uniform(-10, 10, 2)
-        c = rng.uniform(0.0, 5.0)
-        t = ss.transmission(y, dc, da, c, cavity.kappa_ratio)
-        assert -1e-12 <= t <= 1.0 + 1e-12
-
-
-@settings(max_examples=200, deadline=None)
-@given(y=st.floats(min_value=1e-3, max_value=3.0), dc=detunings, da=detunings, c=coops,
-       r=st.floats(min_value=0.01, max_value=1.0),
-       policy=st.sampled_from([ss.LOWEST, ss.HIGHEST]))
-def test_solve_transmission_is_the_grid_transmission(y, dc, da, c, r, policy):
-    # one formula for T: the single-point solve and the grid path agree to the bit
-    t = ss._steady_transmission(y ** 2, dc, da, c, r, policy)
-    assert ss.solve(y, dc, da, c, r, policy).transmission == t[0]
+    y = rng.uniform(0.01, 3.0, 200)
+    dc, da = rng.uniform(-10, 10, (2, 200))
+    c = rng.uniform(0.0, 5.0, 200)
+    for policy in (ss.LOWEST, ss.HIGHEST):
+        t = ss._steady_transmission(y * y, dc, da, c, cavity.kappa_ratio, policy)
+        assert np.all((-1e-12 <= t) & (t <= 1.0 + 1e-12))
 
 
 def test_empty_resonant_transmission_value(cavity):
-    t = ss.transmission(0.5, 0.0, 0.0, 0.0, cavity.kappa_ratio)
+    (t,) = ss._steady_transmission(0.5 ** 2, 0.0, 0.0, 0.0, cavity.kappa_ratio)
     assert t == pytest.approx((1.0 - 2.0 * cavity.kappa_ratio) ** 2, rel=1e-12)
     assert t == pytest.approx(0.3212852258489, rel=1e-10)
 
@@ -188,15 +168,8 @@ def test_weak_limit_equivalence(cavity):
     grid = np.linspace(-10, 10, 201)
     for c in (0.0, 1.5, 5.0):
         t_weak = ss.weak_transmission(grid, grid, c, cavity.kappa_ratio)
-        t_full = np.array(
-            [ss.transmission(1e-3, d, d, c, cavity.kappa_ratio) for d in grid]
-        )
+        t_full = ss._steady_transmission(1e-3 ** 2, grid, grid, c, cavity.kappa_ratio)
         assert np.max(np.abs(t_full - t_weak)) < 1e-5
-
-
-def test_divergent_drive_rejected(cavity):
-    with pytest.raises(DivergentDrive):
-        ss.solve(-1.0, 0.0, 0.0, 1.0, cavity.kappa_ratio)
 
 
 def test_no_real_root_message_has_index():
@@ -210,16 +183,21 @@ def test_no_real_root_message_has_index():
 
 def test_branch_policy_selects_extremes():
     y, dc, da, c = 5.988, 1.378, 1.208, 4.771
-    lo = ss.solve(y, dc, da, c, 0.2, policy=ss.LOWEST)
-    hi = ss.solve(y, dc, da, c, 0.2, policy=ss.HIGHEST)
-    assert lo.selected_u < hi.selected_u
-    assert lo.selected_u == pytest.approx(min(lo.roots_u), rel=1e-12)
-    assert hi.selected_u == pytest.approx(max(hi.roots_u), rel=1e-12)
+    roots, counts = ss._roots_grid(y * y, dc, da, c)
+    assert counts[0] == 3
+    (lo,) = ss.select_branch(roots, counts, ss.LOWEST)
+    (hi,) = ss.select_branch(roots, counts, ss.HIGHEST)
+    assert lo < hi
+    assert lo == np.min(roots[0]) and hi == np.max(roots[0])
 
 
 def test_follow_sweep_requires_spectrum():
-    with pytest.raises(ValueError):
-        ss.solve(1.0, 0.0, 0.0, 1.0, 0.2, policy=ss.BranchPolicy("follow_sweep", "up"))
+    roots, counts = ss._roots_grid(1.0, 0.0, 0.0, 1.0)
+    follow = ss.BranchPolicy("follow_sweep", "up")
+    with pytest.raises(ValueError, match="follow_sweep requires a sweep"):
+        ss.select_branch(roots, counts, follow)
+    with pytest.raises(ValueError, match="follow_sweep requires a sweep"):
+        ss._steady_transmission(1.0, 0.0, 0.0, 1.0, 0.2, follow)
 
 
 def test_follow_sweep_hysteresis(cavity, ensemble):
@@ -335,12 +313,13 @@ def test_splitting_estimate_zero_cooperativity(cavity, ensemble):
 
 
 def test_g_eff_and_neff_chain(cavity, ensemble):
-    g = ss.g_eff_from_nsat(13.0, ensemble.gamma_perp, ensemble.gamma_par)
-    assert ss.n_sat_from_geff(g, ensemble.gamma_perp, ensemble.gamma_par) == pytest.approx(13.0, rel=1e-12)
-    n_eff = ss.n_eff_from_c(1.5, g, cavity.kappa, ensemble.gamma_perp)
-    copancy = ss.cooperativity_from_couplings(np.full(int(round(n_eff)), g),
-                                              cavity.kappa, ensemble.gamma_perp)
-    assert copancy == pytest.approx(1.5, rel=0.01)
+    # each against the formula it inverts: n_sat = gamma_perp gamma_par / (4 g^2)
+    # and C = N_eff g^2 / (2 kappa gamma_perp)
+    gamma_perp, gamma_par, kappa = ensemble.gamma_perp, ensemble.gamma_par, cavity.kappa
+    g = ss.g_eff_from_nsat(13.0, gamma_perp, gamma_par)
+    assert gamma_perp * gamma_par / (4.0 * g * g) == pytest.approx(13.0, rel=1e-12)
+    n_eff = ss.n_eff_from_c(1.5, g, kappa, gamma_perp)
+    assert n_eff * g * g / (2.0 * kappa * gamma_perp) == pytest.approx(1.5, rel=1e-12)
 
 
 # --------------------------------------------------------------- spectrum
@@ -348,11 +327,11 @@ def test_g_eff_and_neff_chain(cavity, ensemble):
 def test_spectrum_matches_pointwise_solve(cavity, ensemble, drive):
     grid = np.linspace(-20e6, 20e6, 41)
     t = ss.spectrum(grid, cavity, ensemble, drive)
-    y = np.sqrt(ss.drive_y2(drive, cavity, ensemble.n_sat))
+    y2 = ss.drive_y2(drive, cavity, ensemble.n_sat)
     for k in (0, 13, 20, 40):
         dc = 2.0 * np.pi * grid[k] / cavity.kappa
         da = 2.0 * np.pi * grid[k] / ensemble.gamma_perp
-        ref = ss.transmission(y, dc, da, ensemble.cooperativity, cavity.kappa_ratio)
+        (ref,) = ss._steady_transmission(y2, dc, da, ensemble.cooperativity, cavity.kappa_ratio)
         assert t[k] == pytest.approx(ref, rel=1e-12)
 
 

@@ -22,6 +22,18 @@ def config(cavity, therm):
     return thermal.default_lock_config(cavity, therm)
 
 
+# one step of the loops' own helpers: the heater's Lorentzian buildup and an
+# explicit-Euler relaxation of the resonance offset toward its heated value
+
+def _p_circ(detuning_hz, heater_power, cavity):
+    return thermal._lorentzian(detuning_hz, heater_power * thermal.buildup_factor(cavity),
+                               cavity.fwhm_hz)
+
+
+def _relax(offset, p_circ, therm, dt):
+    return thermal._euler(offset, therm.shift_coefficient * p_circ, dt / therm.tau_th)
+
+
 def test_thermal_params_validation():
     with pytest.raises(NonPositiveRate):
         thermal.ThermalParams(tau_th=0.0)
@@ -32,8 +44,8 @@ def test_thermal_params_validation():
     thermal.ThermalParams(absorption_fraction=0.0)  # zero absorption allowed
 
 
-def test_dt_invariant_enforced(cavity, therm):
-    bad = thermal.LockConfig(dt=therm.tau_th / 5.0)
+def test_dt_invariant_enforced(cavity, therm, config):
+    bad = replace(config, dt=therm.tau_th / 5.0)
     with pytest.raises(StepTooCoarse):
         thermal.lock_loop(0.01, therm, bad, cavity)
     with pytest.raises(StepTooCoarse):
@@ -47,10 +59,10 @@ def test_buildup_factor_value(cavity):
 
 
 def test_circulating_power_lorentzian(cavity):
-    p0 = thermal.circulating_power(0.0, 2e-3, cavity)
+    p0 = _p_circ(0.0, 2e-3, cavity)
     assert p0 == pytest.approx(2e-3 * thermal.buildup_factor(cavity), rel=1e-12)
     w = cavity.fwhm_hz
-    p_half = thermal.circulating_power(w / 2.0, 2e-3, cavity)
+    p_half = _p_circ(w / 2.0, 2e-3, cavity)
     assert p_half == pytest.approx(p0 / 2.0, rel=1e-12)
 
 
@@ -67,7 +79,7 @@ def test_relax_matches_exact_exponential(therm):
     off = 0.0
     p = 1e-3
     for _ in range(400):
-        off = thermal.relax(off, p, therm, dt)
+        off = _relax(off, p, therm, dt)
     exact = oracles.thermal_exact_step(0.0, p, therm.shift_coefficient, therm.tau_th,
                                        therm.tau_th)
     assert off == pytest.approx(exact, rel=2e-3)
@@ -81,7 +93,7 @@ def test_relax_time_constant_recovered(cavity, therm):
     off = -5e6
     for k in range(n):
         offs[k] = off
-        off = thermal.relax(off, 0.0, therm, dt)
+        off = _relax(off, 0.0, therm, dt)
     t = np.arange(n) * dt
 
     def model(t, tau):
@@ -96,7 +108,7 @@ def test_relax_fixed_point(therm):
     dt = therm.tau_th / 40.0
     off = 0.0
     for _ in range(4000):
-        off = thermal.relax(off, 2e-3, therm, dt)
+        off = _relax(off, 2e-3, therm, dt)
     assert off == pytest.approx(therm.shift_coefficient * 2e-3, rel=1e-9)
 
 
@@ -104,7 +116,7 @@ def test_equilibrium_detuning_is_equilibrium(cavity, therm, config):
     target = -10.0 * cavity.fwhm_hz
     dh = thermal.equilibrium_detuning(target, therm, config, cavity)
     assert dh > 0  # blue side of the warm resonance
-    p = thermal.circulating_power(dh, config.heater_power, cavity)
+    p = _p_circ(dh, config.heater_power, cavity)
     assert therm.shift_coefficient * p == pytest.approx(target, rel=1e-9)
 
 
@@ -112,6 +124,9 @@ def test_equilibrium_detuning_rejects_unreachable(cavity, therm, config):
     too_deep = therm.shift_coefficient * config.heater_power * thermal.buildup_factor(cavity) * 2.0
     with pytest.raises(ValueError):
         thermal.equilibrium_detuning(too_deep, therm, config, cavity)
+    cold = replace(therm, absorption_fraction=0.0)
+    with pytest.raises(ValueError, match="shift coefficient is 0"):
+        thermal.equilibrium_detuning(-cavity.fwhm_hz, cold, config, cavity)
 
 
 def test_warm_lock_point_is_stable_discrete_map(cavity, therm, config):
@@ -122,8 +137,8 @@ def test_warm_lock_point_is_stable_discrete_map(cavity, therm, config):
     heater_freq = target + dh0
 
     def step_once(off):
-        p = thermal.circulating_power(heater_freq - off, config.heater_power, cavity)
-        return thermal.relax(off, p, therm, config.dt)
+        p = _p_circ(heater_freq - off, config.heater_power, cavity)
+        return _relax(off, p, therm, config.dt)
 
     eps = 1.0  # Hz
     slope = (step_once(target + eps) - step_once(target - eps)) / (2 * eps)
@@ -134,6 +149,32 @@ def test_scan_dwell_asymmetry(cavity, therm, config):
     down, up, ratio = thermal.scan_dwell_ratio(therm, config, cavity)
     assert down > up
     assert ratio >= 2.0
+
+
+def test_fast_scan_pair_is_too_coarse(cavity, therm, config):
+    # at 1e11 Hz/s each step moves the heater about 6 linewidths: the up scan
+    # never rises above half buildup, and its dwell of 0 would divide the ratio
+    with pytest.raises(StepTooCoarse, match=r"scan_rate=100000000000\.0 Hz/s and dt=0\.00025 s"):
+        thermal.scan_dwell_ratio(therm, config, cavity, scan_rate=1e11)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_lock_settings_must_be_finite(cavity, therm, config, bad):
+    invalid = (ValueError, NonPositiveRate)  # both exit 2
+    for field in ("tau_th", "shift_per_watt", "absorption_fraction"):
+        with pytest.raises(invalid, match=field):
+            replace(therm, **{field: bad})
+    for field in ("setpoint", "dt", "gain_i", "heater_power"):
+        with pytest.raises(invalid, match=f"{field} must be finite"):
+            replace(config, **{field: bad})
+    with pytest.raises(ValueError, match="duration must be finite"):
+        thermal.lock_loop(bad, therm, config, cavity)
+    for rate, span, name in ((bad, 300e6, "scan_rate"), (1e9, bad, "span")):
+        with pytest.raises(invalid, match=name):
+            thermal.scan_experiment("down", rate, span, therm, config, cavity)
+    for t0, size in ((bad, 1e6), (0.1, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            thermal.step_disturbance(t0, size)
 
 
 def test_scan_zero_absorption_symmetric(cavity, config):
@@ -221,8 +262,8 @@ def test_closed_loop_linearization_stable(cavity, therm, config):
         t_p = thermal.probe_transmission(nu_probe - off, cavity)
         integral = integral + config.gain_i * (t_p - config.setpoint) * config.dt
         dh = heater_base + integral - off
-        p = thermal.circulating_power(dh, config.heater_power, cavity)
-        return np.array([thermal.relax(off, p, therm, config.dt), integral])
+        p = _p_circ(dh, config.heater_power, cavity)
+        return np.array([_relax(off, p, therm, config.dt), integral])
 
     x0 = np.array([target, 0.0])
     jac = np.empty((2, 2))
@@ -249,10 +290,11 @@ def test_default_config_mid_fringe(cavity, therm, config):
 
 # ------------------------------------------------ replay of the per-step loops
 #
-# The loops below step the model through the public per-step helpers
-# (relax, circulating_power, probe_transmission) and sum dwell times with a
-# running total, one numpy scalar at a time. The package's loops run on
-# plain floats and must reproduce them bit for bit.
+# The loops below step the model through the per-step helpers the package's
+# loops call (_lorentzian and _euler, as _p_circ and _relax above, and
+# probe_transmission) and sum dwell times with a running total, one numpy
+# scalar at a time. The package's loops run on plain floats and must
+# reproduce them bit for bit.
 
 def _dwell_loop(time_s, signal, threshold):
     t = np.asarray(time_s)
@@ -280,9 +322,9 @@ def _replay_scan(direction, scan_rate, span_hz, therm, config, cavity):
     off = 0.0
     for k in range(n):
         d = heater_freq[k] - off
-        pc = thermal.circulating_power(d, config.heater_power, cavity)
+        pc = _p_circ(d, config.heater_power, cavity)
         detuning[k], p_circ[k], offset[k] = d, pc, off
-        off = thermal.relax(off, pc, therm, dt)
+        off = _relax(off, pc, therm, dt)
     half_buildup = 0.5 * config.heater_power * thermal.buildup_factor(cavity)
     metrics = {
         "dwell_s": _dwell_loop(time_s, p_circ, half_buildup),
@@ -323,10 +365,10 @@ def _replay_lock(duration_s, therm, config, cavity, disturbance=None):
         integral += config.gain_i * err * dt
         nu_h = heater_base + integral
         dh = nu_h - res_pos
-        pc = thermal.circulating_power(dh, config.heater_power, cavity)
+        pc = _p_circ(dh, config.heater_power, cavity)
         heater_freq[k], detuning[k], offset_rec[k], p_circ[k], t_probe[k] = (
             nu_h, dh, res_pos, pc, t_p)
-        off = thermal.relax(off, pc, therm, dt)
+        off = _relax(off, pc, therm, dt)
     res_err = offset_rec - target_offset
     abs_err = np.abs(res_err)
     metrics = {
