@@ -12,6 +12,7 @@ group handler maps them.
 """
 from __future__ import annotations
 
+import math
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -448,40 +449,45 @@ def _run_lock(r: dict) -> list:
         dt=r["dt_s"] if r["dt_s"] is not None else base.dt,
     )
     mode = r["mode"]
+    disturbance = None
+    if mode == "step":
+        disturbance = thermal.step_disturbance(r["step_at_s"],
+                                               r["step_linewidths"] * cavity.fwhm_hz)
+    elif mode != "hold":
+        span = r["span_mhz"] * 1e6 if r["span_mhz"] is not None else None
+        rate, span = thermal.scan_window(therm, cavity, r["scan_rate_hz_per_s"], span)
+    # the step and the scan window are checked above, with the library's own
+    # messages; an option the mode does not read would otherwise reach only
+    # the manifest, where NaN and inf are not JSON
+    for key, value in r.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     out = Path(r["output"])
     metrics_path = out.with_name(out.stem + "_metrics.json")
     outputs = [out, metrics_path]
 
     if mode in ("hold", "step"):
-        disturbance = None
-        if mode == "step":
-            disturbance = thermal.step_disturbance(r["step_at_s"],
-                                                   r["step_linewidths"] * cavity.fwhm_hz)
         series = thermal.lock_loop(r["duration_s"], therm, config, cavity,
                                    disturbance=disturbance)
         io.write_timeseries_csv(out, series)
         metrics = dict(series.metrics)
+    elif mode == "scan-both":
+        down, up, ratio = thermal.scan_pair(therm, config, cavity, rate, span)
+        io.write_timeseries_csv(out, down)
+        up_path = out.with_name(out.stem + "_up.csv")
+        io.write_timeseries_csv(up_path, up)
+        outputs = [out, up_path, metrics_path]
+        metrics = {
+            "dwell_down_s": down.metrics["dwell_s"],
+            "dwell_up_s": up.metrics["dwell_s"],
+            "dwell_ratio": ratio,
+            "max_pull_hz": down.metrics["max_pull_hz"],
+        }
     else:
-        span = r["span_mhz"] * 1e6 if r["span_mhz"] is not None else None
-        rate, span = thermal.scan_window(therm, cavity, r["scan_rate_hz_per_s"], span)
-        if mode == "scan-both":
-            down, up, ratio = thermal.scan_pair(therm, config, cavity, rate, span)
-            io.write_timeseries_csv(out, down)
-            up_path = out.with_name(out.stem + "_up.csv")
-            io.write_timeseries_csv(up_path, up)
-            outputs = [out, up_path, metrics_path]
-            metrics = {
-                "dwell_down_s": down.metrics["dwell_s"],
-                "dwell_up_s": up.metrics["dwell_s"],
-                "dwell_ratio": ratio,
-                "max_pull_hz": down.metrics["max_pull_hz"],
-            }
-        else:
-            direction = "down" if mode == "scan-down" else "up"
-            series = thermal.scan_experiment(direction, rate, span, therm,
-                                             config, cavity)
-            io.write_timeseries_csv(out, series)
-            metrics = dict(series.metrics)
+        direction = "down" if mode == "scan-down" else "up"
+        series = thermal.scan_experiment(direction, rate, span, therm, config, cavity)
+        io.write_timeseries_csv(out, series)
+        metrics = dict(series.metrics)
     io.write_json(metrics_path, metrics)
     return _finish("lock", r, r["inputs"], outputs)
 

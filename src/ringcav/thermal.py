@@ -26,6 +26,7 @@ they are demonstration values chosen to show the phenomenology.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ from .params import THERMAL_DEFAULTS, CavityParams
 
 #: consecutive out-of-capture-range steps tolerated before declaring the lock lost
 CAPTURE_PATIENCE = 100
+
+#: most integrator steps one run may take: 10**7 steps loop for several seconds
+#: and fill 80 MB per recorded column; a longer run is refused before anything
+#: is allocated
+MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,16 @@ def _check_dt(config: LockConfig, thermal: ThermalParams):
         )
 
 
+def _step_count(duration_s: float, dt: float) -> int:
+    """Steps of dt covering duration_s, both ends included; at most MAX_STEPS."""
+    steps = duration_s / dt
+    if not (steps <= MAX_STEPS - 1):
+        count = math.ceil(steps) + 1 if math.isfinite(steps) else steps
+        raise ValueError(f"{duration_s!r} s of integration at dt={dt!r} s needs {count} "
+                         f"steps, more than MAX_STEPS={MAX_STEPS}")
+    return int(math.ceil(steps)) + 1
+
+
 def buildup_factor(cavity: CavityParams) -> float:
     """Resonant circulating-to-input power ratio, 2 kappa_ex FSR / kappa^2."""
     return 2.0 * cavity.kappa_ex * cavity.fsr / cavity.kappa ** 2
@@ -110,11 +126,6 @@ def _lorentzian(detuning, peak, fwhm):
 def _dip(detuning, depth, fwhm):
     """1 minus a Lorentzian of the given depth: the bare-cavity probe dip."""
     return 1.0 - _lorentzian(detuning, depth, fwhm)
-
-
-def _euler(offset, target, rate):
-    """offset relaxed toward target by the fraction rate = dt / tau_th."""
-    return offset + rate * (target - offset)
 
 
 def dip_depth(cavity: CavityParams) -> float:
@@ -176,42 +187,58 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     from the bottom for direction="up". The returned metrics include
     dwell_s: the time spent above half the resonant buildup, the standard
     measure of how long the scan stayed coupled to the (pulled) resonance.
+
+    A scan that never rises above half buildup has no dwell to measure. It
+    raises StepTooCoarse when the laser crossed the resonance (each step
+    jumps past it), and ValueError when the heating pulled the resonance out
+    of the window ahead of the laser.
     """
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    if not (0 < scan_rate < math.inf):
-        raise NonPositiveRate(f"scan_rate must be finite and > 0, got {scan_rate!r}")
-    if not (3.0 * cavity.fwhm_hz <= span_hz < math.inf):
-        raise ValueError(f"span {span_hz!r} Hz must be finite and cover >= 3 cold "
-                         f"linewidths ({3 * cavity.fwhm_hz:.3g} Hz)")
+    scan_rate, span_hz = scan_window(thermal, cavity, scan_rate, span_hz)
     _check_dt(config, thermal)
+    if config.heater_power == 0.0:
+        raise ValueError("heater_power is 0 W: there is no buildup for the scan to dwell on")
     dt = config.dt
-    n = int(math.ceil(span_hz / scan_rate / dt)) + 1
+    n = _step_count(span_hz / scan_rate, dt)
     sign = -1.0 if direction == "down" else 1.0
     nu_start = span_hz / 2.0 if direction == "down" else -span_hz / 2.0
 
     time_s = np.arange(n) * dt
     slope = sign * scan_rate
     heater_freq = nu_start + slope * time_s
-    offset = np.empty(n)
-    detuning = np.empty(n)
-    p_circ = np.empty(n)
-    # loop on plain floats: nu_start + slope * (k * dt) is heater_freq[k] exactly
+    # the loop carries only the resonance offset, in the operation order of
+    # _lorentzian and the explicit Euler step, and records it; the other
+    # columns are derived from it below. nu_start + slope * (k * dt) is
+    # heater_freq[k] exactly.
     peak = config.heater_power * buildup_factor(cavity)
     w = cavity.fwhm_hz
     shift = thermal.shift_coefficient
     rate = dt / thermal.tau_th
+    rec = array("d", [0.0]) * n
     off = 0.0
     for k in range(n):
-        d = nu_start + slope * (k * dt) - off
-        pc = _lorentzian(d, peak, w)
-        detuning[k] = d
-        p_circ[k] = pc
-        offset[k] = off
-        off = _euler(off, shift * pc, rate)
-    half_buildup = 0.5 * config.heater_power * buildup_factor(cavity)
+        rec[k] = off
+        x = 2.0 * (nu_start + slope * (k * dt) - off) / w
+        off = off + rate * (shift * (peak / (1.0 + x * x)) - off)
+    offset = np.frombuffer(rec)
+    detuning = heater_freq - offset
+    p_circ = _lorentzian(detuning, peak, w)
+    dwell = _dwell_above(time_s, p_circ, 0.5 * peak)
+    if dwell == 0.0:
+        if detuning.min() < 0.0 < detuning.max():
+            raise StepTooCoarse(
+                f"the {direction} scan never rose above half buildup at "
+                f"scan_rate={scan_rate!r} Hz/s and dt={dt!r} s "
+                f"({scan_rate * dt / w:.3g} linewidths per step): it has no dwell to measure"
+            )
+        raise ValueError(
+            f"the {direction} scan never crossed the resonance, which the heating pulled "
+            f"{-offset.min() / w:.3g} linewidths ahead, within its span of "
+            f"{span_hz / w:.3g} linewidths: widen the span or lower the heater power"
+        )
     metrics = {
-        "dwell_s": _dwell_above(time_s, p_circ, half_buildup),
+        "dwell_s": dwell,
         "final_resonance_offset_hz": float(offset[-1]),
         "max_pull_hz": float(offset.min()),
     }
@@ -228,31 +255,25 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
 
 def scan_window(thermal: ThermalParams, cavity: CavityParams,
                 scan_rate: float | None = None, span_hz: float | None = None):
-    """(scan_rate, span_hz); by default one cold linewidth per 10 tau_th over 60 linewidths."""
+    """(scan_rate, span_hz), checked; by default one cold linewidth per 10 tau_th over 60 linewidths."""
     w = cavity.fwhm_hz
-    return (w / (10.0 * thermal.tau_th) if scan_rate is None else scan_rate,
-            60.0 * w if span_hz is None else span_hz)
+    scan_rate = w / (10.0 * thermal.tau_th) if scan_rate is None else scan_rate
+    span_hz = 60.0 * w if span_hz is None else span_hz
+    if not (0 < scan_rate < math.inf):
+        raise NonPositiveRate(f"scan_rate must be finite and > 0, got {scan_rate!r}")
+    if not (3.0 * w <= span_hz < math.inf):
+        raise ValueError(f"span {span_hz!r} Hz must be finite and cover >= 3 cold "
+                         f"linewidths ({3 * w:.3g} Hz)")
+    return scan_rate, span_hz
 
 
 def scan_pair(thermal: ThermalParams, config: LockConfig, cavity: CavityParams,
               scan_rate: float | None = None, span_hz: float | None = None):
-    """(down, up, ratio): mirrored scans over one scan_window and their dwell ratio down/up.
-
-    Raises StepTooCoarse when a scan never rises above half buildup: each
-    step then jumps past the resonance, and the ratio would be 0/0 or x/0.
-    """
+    """(down, up, ratio): mirrored scans over one scan_window and their dwell ratio down/up."""
     scan_rate, span_hz = scan_window(thermal, cavity, scan_rate, span_hz)
     down = scan_experiment("down", scan_rate, span_hz, thermal, config, cavity)
     up = scan_experiment("up", scan_rate, span_hz, thermal, config, cavity)
-    d, u = down.metrics["dwell_s"], up.metrics["dwell_s"]
-    if d == 0.0 or u == 0.0:
-        raise StepTooCoarse(
-            f"the {'up' if u == 0.0 else 'down'} scan never rose above half buildup at "
-            f"scan_rate={scan_rate!r} Hz/s and dt={config.dt!r} s "
-            f"({scan_rate * config.dt / cavity.fwhm_hz:.3g} linewidths per step, heater "
-            f"power {config.heater_power!r} W); the dwell ratio is undefined"
-        )
-    return down, up, d / u
+    return down, up, down.metrics["dwell_s"] / up.metrics["dwell_s"]
 
 
 def scan_dwell_ratio(thermal: ThermalParams, config: LockConfig, cavity: CavityParams,
@@ -324,28 +345,30 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
         capture_band = 0.45 * depth
 
     dt = config.dt
-    n = int(math.ceil(duration_s / dt)) + 1
+    n = _step_count(duration_s, dt)
     time_s = np.arange(n) * dt
-    heater_freq = np.empty(n)
-    detuning = np.empty(n)
-    offset_rec = np.empty(n)
-    p_circ = np.empty(n)
-    t_probe = np.empty(n)
 
-    # loop on plain floats: k * dt is time_s[k] exactly
+    # the loop carries only the resonance offset and the integral, in the
+    # operation order of _dip, _lorentzian and the explicit Euler step, and
+    # records the resonance position and the integral; every other column is
+    # derived from them below. The position record starts out holding the
+    # disturbance at k * dt (time_s[k] exactly), which each step adds to the
+    # offset and then overwrites.
     peak = config.heater_power * buildup_factor(cavity)
     setpoint = config.setpoint
     gain_i = config.gain_i
     shift = thermal.shift_coefficient
     rate = dt / thermal.tau_th
+    res_rec = (array("d", [0.0]) * n if disturbance is None
+               else array("d", [float(disturbance(k * dt)) for k in range(n)]))
+    integral_rec = array("d", [0.0]) * n
     off = target_offset
     integral = 0.0
     out_of_band = 0
-    for k in range(n):
-        d_ext = float(disturbance(k * dt)) if disturbance is not None else 0.0
+    for k, d_ext in enumerate(res_rec):
         res_pos = off + d_ext
-        t_p = _dip(nu_probe - res_pos, depth, w)
-        err = t_p - setpoint
+        x = 2.0 * (nu_probe - res_pos) / w
+        err = (1.0 - depth / (1.0 + x * x)) - setpoint
         if abs(err) > capture_band:
             out_of_band += 1
             if out_of_band > CAPTURE_PATIENCE:
@@ -356,16 +379,17 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
         else:
             out_of_band = 0
         integral += gain_i * err * dt
-        nu_h = heater_base + integral
-        dh = nu_h - res_pos
-        pc = _lorentzian(dh, peak, w)
-        heater_freq[k] = nu_h
-        detuning[k] = dh
-        offset_rec[k] = res_pos
-        p_circ[k] = pc
-        t_probe[k] = t_p
-        off = _euler(off, shift * pc, rate)
+        x = 2.0 * ((heater_base + integral) - res_pos) / w
+        off = off + rate * (shift * (peak / (1.0 + x * x)) - off)
+        res_rec[k] = res_pos
+        integral_rec[k] = integral
 
+    offset_rec = np.frombuffer(res_rec)
+    heater_freq = np.frombuffer(integral_rec)
+    heater_freq += heater_base
+    detuning = heater_freq - offset_rec
+    p_circ = _lorentzian(detuning, peak, w)
+    t_probe = _dip(nu_probe - offset_rec, depth, w)
     res_err = offset_rec - target_offset
     band = 0.05 * w
     abs_err = np.abs(res_err)

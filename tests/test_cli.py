@@ -229,11 +229,40 @@ def test_lock_lost_exits_6(runner, tmp_path, monkeypatch):
     ("inf", "scan_rate must be finite"),
 ])
 def test_lock_fast_scan_both_exits_2(runner, tmp_path, monkeypatch, rate, message):
+    # a single scan refuses the rate as the pair does
     monkeypatch.chdir(tmp_path)
-    result = runner.invoke(main, ["lock", "--mode", "scan-both", "--scan-rate-hz-per-s", rate])
+    for mode in ("scan-both", "scan-up", "scan-down"):
+        result = runner.invoke(main, ["lock", "--mode", mode, "--scan-rate-hz-per-s", rate])
+        assert result.exit_code == 2, mode
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_lock_scan_without_heater_power_exits_2(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["lock", "--mode", "scan-both", "--heater-power-w", "0"])
     assert result.exit_code == 2
+    assert "heater_power is 0" in result.stderr
+
+
+class _NoAllocation:
+    def __getattr__(self, name):
+        raise AssertionError(f"reached the allocator ({name})")
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "scan-up", "--scan-rate-hz-per-s", "1e-3"],  # about 1e15 steps
+    ["--dt-s", "1e-12"],  # 5e11 steps of the 0.5 s hold
+])
+def test_lock_step_cap_exits_2_before_allocating(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(thermal, "np", _NoAllocation())
+    monkeypatch.setattr(thermal, "array", _NoAllocation())
+    result = runner.invoke(main, ["lock", *args])
+    assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert message in result.stderr
+    assert f"more than MAX_STEPS={thermal.MAX_STEPS}" in result.stderr
 
 
 def test_lock_hold_without_absorption_exits_2(runner, tmp_path, monkeypatch):
@@ -244,9 +273,11 @@ def test_lock_hold_without_absorption_exits_2(runner, tmp_path, monkeypatch):
     assert isinstance(result.exception, SystemExit)
 
 
-# every float option of lock, run in a mode that reads it
-_LOCK_MODE = {"--step-linewidths": "step", "--step-at-s": "step",
-              "--scan-rate-hz-per-s": "scan-both", "--span-mhz": "scan-up"}
+# every float option of lock, run in a mode that reads it and in one that does
+# not; every mode reads the thermal and lock settings, so a scan stands in there
+_LOCK_MODES = {"--duration-s": ("hold", "scan-up"), "--step-linewidths": ("step", "hold"),
+               "--step-at-s": ("step", "scan-down"), "--scan-rate-hz-per-s": ("scan-both", "step"),
+               "--span-mhz": ("scan-up", "hold")}
 _LOCK_FLOATS = [p.opts[0] for p in cli.lock.params
                 if isinstance(p.type, click.types.FloatParamType)]
 
@@ -259,12 +290,12 @@ def _no_constant(name):
 @pytest.mark.parametrize("option", _LOCK_FLOATS)
 def test_lock_rejects_non_finite_settings(runner, tmp_path, monkeypatch, option, value):
     monkeypatch.chdir(tmp_path)
-    result = runner.invoke(main, ["lock", "--mode", _LOCK_MODE.get(option, "hold"),
-                                  f"{option}={value}"])
-    assert result.exit_code in (2, 6), result.output
-    assert isinstance(result.exception, SystemExit)
-    for path in tmp_path.glob("*.json"):
-        json.loads(path.read_text(), parse_constant=_no_constant)
+    for mode in _LOCK_MODES.get(option, ("hold", "scan-up")):
+        result = runner.invoke(main, ["lock", "--mode", mode, f"{option}={value}"])
+        assert result.exit_code in (2, 6), (mode, result.output)
+        assert isinstance(result.exception, SystemExit)
+        for path in tmp_path.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 def test_lock_help_defaults_are_the_library_defaults(runner, cavity):

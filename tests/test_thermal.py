@@ -31,7 +31,7 @@ def _p_circ(detuning_hz, heater_power, cavity):
 
 
 def _relax(offset, p_circ, therm, dt):
-    return thermal._euler(offset, therm.shift_coefficient * p_circ, dt / therm.tau_th)
+    return offset + (dt / therm.tau_th) * (therm.shift_coefficient * p_circ - offset)
 
 
 def test_thermal_params_validation():
@@ -152,10 +152,26 @@ def test_scan_dwell_asymmetry(cavity, therm, config):
 
 
 def test_fast_scan_pair_is_too_coarse(cavity, therm, config):
-    # at 1e11 Hz/s each step moves the heater about 6 linewidths: the up scan
-    # never rises above half buildup, and its dwell of 0 would divide the ratio
+    # at 1e11 Hz/s each step moves the heater about 6 linewidths: neither scan
+    # rises above half buildup, and a dwell of 0 would divide the ratio
     with pytest.raises(StepTooCoarse, match=r"scan_rate=100000000000\.0 Hz/s and dt=0\.00025 s"):
         thermal.scan_dwell_ratio(therm, config, cavity, scan_rate=1e11)
+
+
+def test_step_cap_counts_both_ends():
+    assert thermal._step_count(thermal.MAX_STEPS - 1, 1.0) == thermal.MAX_STEPS
+    with pytest.raises(ValueError, match=f"needs {thermal.MAX_STEPS + 1} steps"):
+        thermal._step_count(thermal.MAX_STEPS - 0.5, 1.0)
+
+
+def test_scan_pulled_out_of_its_window_is_refused(cavity, therm, config):
+    # 7.8 mW drags the resonance about 3.6 linewidths ahead of a down scan
+    # that spans 3: the laser never reaches it, and the dwell would read 0
+    hot = replace(config, heater_power=0.0078125)
+    args = (cavity.fwhm_hz / therm.tau_th, 3.0 * cavity.fwhm_hz, therm, hot, cavity)
+    with pytest.raises(ValueError, match="never crossed the resonance"):
+        thermal.scan_experiment("down", *args)
+    assert thermal.scan_experiment("up", *args).metrics["dwell_s"] > 0.0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -290,11 +306,12 @@ def test_default_config_mid_fringe(cavity, therm, config):
 
 # ------------------------------------------------ replay of the per-step loops
 #
-# The loops below step the model through the per-step helpers the package's
-# loops call (_lorentzian and _euler, as _p_circ and _relax above, and
-# probe_transmission) and sum dwell times with a running total, one numpy
-# scalar at a time. The package's loops run on plain floats and must
-# reproduce them bit for bit.
+# The loops below step the model through the helpers (_lorentzian as _p_circ,
+# the explicit Euler step as _relax above, and probe_transmission), record
+# every column as they go, and sum dwell times with a running total, one
+# numpy scalar at a time. The package's loops carry only their state on plain
+# floats, derive the other columns afterwards, and must reproduce the replay
+# bit for bit.
 
 def _dwell_loop(time_s, signal, threshold):
     t = np.asarray(time_s)
@@ -424,6 +441,52 @@ def test_lock_lost_matches_step_by_step_replay(cavity, therm, config):
     assert str(got.value) == str(want.value)
     assert got.value.time_s == want.value.time_s
     assert type(got.value.time_s) is float
+
+
+def _outcome(run, *args, **kwargs):
+    """What a loop returns, or the LockLost it raises."""
+    try:
+        return run(*args, **kwargs)
+    except LockLost as lost:
+        return lost
+
+
+@settings(max_examples=40, deadline=None)
+@given(duration=st.floats(0.01, 0.5), step_linewidths=st.floats(0.0, 30.0),
+       step_at=st.floats(0.0, 1.0), log_gain=st.floats(8.0, 11.0),
+       heater_power=st.floats(1.2e-3, 8e-3))
+def test_lock_matches_replay_on_drawn_settings(cavity, therm, config, duration,
+                                               step_linewidths, step_at, log_gain,
+                                               heater_power):
+    # large steps and high gains lose the lock: the message and time must match too
+    drawn = replace(config, gain_i=10.0 ** log_gain, heater_power=heater_power)
+    dist = thermal.step_disturbance(step_at * duration, step_linewidths * cavity.fwhm_hz)
+    got = _outcome(thermal.lock_loop, duration, therm, drawn, cavity, disturbance=dist)
+    want = _outcome(_replay_lock, duration, therm, drawn, cavity, disturbance=dist)
+    if isinstance(want, LockLost):
+        assert isinstance(got, LockLost)
+        assert str(got) == str(want)
+        assert got.time_s == want.time_s
+    else:
+        _assert_same_series(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(direction=st.sampled_from(["up", "down"]), tau_per_linewidth=st.floats(1.0, 40.0),
+       span_linewidths=st.floats(3.0, 6.0), heater_power=st.floats(1e-4, 8e-3))
+def test_scan_matches_replay_on_drawn_settings(cavity, therm, config, direction,
+                                               tau_per_linewidth, span_linewidths,
+                                               heater_power):
+    # 1/40 to 1 linewidth per tau_th over 3 to 6 linewidths: at most 9601 steps
+    args = (direction, cavity.fwhm_hz / (tau_per_linewidth * therm.tau_th),
+            span_linewidths * cavity.fwhm_hz, therm,
+            replace(config, heater_power=heater_power), cavity)
+    want = _replay_scan(*args)
+    if want.metrics["dwell_s"] > 0.0:
+        _assert_same_series(thermal.scan_experiment(*args), want)
+    else:  # a strong heater pulls the resonance out of a narrow window
+        with pytest.raises(ValueError, match="never crossed the resonance"):
+            thermal.scan_experiment(*args)
 
 
 _DWELL_VALUES = st.one_of(
