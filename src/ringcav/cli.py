@@ -100,6 +100,19 @@ def _check_resolved(command: str, resolved: dict) -> None:
                              f"{param.opts[0]} ({param.type.name}): {value!r}")
 
 
+def _check_finite(resolved: dict) -> None:
+    """Refuse a NaN or infinite float in a resolved dict, nested dicts included.
+
+    No command reads one as a setting, and the manifest, which records the
+    resolved dict as JSON, could not hold it.
+    """
+    for key, value in resolved.items():
+        if isinstance(value, dict):
+            _check_finite(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+
+
 def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
     """Write one manifest per output; returns outputs + manifest paths."""
     manifest = io.build_manifest(command, resolved, [str(p) for p in inputs],
@@ -120,15 +133,14 @@ def _load_doc(params_path, overrides: dict) -> dict:
     return merge_document(doc, overrides)
 
 
-def _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y,
-                       delta_atom_mhz) -> dict:
+def _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y) -> dict:
     """The options given (not None), as a partial parameter document."""
     if power_w is not None and y is not None:
         raise AmbiguousDrive("give at most one of --power-w and --y")
     sections = {
         "ensemble": {"cooperativity": cooperativity, "gamma_perp_mhz": gamma_perp_mhz,
                      "n_sat": n_sat},
-        "drive": {"input_power_w": power_w, "y": y, "delta_atom_mhz": delta_atom_mhz},
+        "drive": {"input_power_w": power_w, "y": y},
     }
     out = {}
     for section, values in sections.items():
@@ -162,7 +174,10 @@ def main():
 # ---------------------------------------------------------------- spectrum
 
 def _run_spectrum(r: dict) -> list:
+    _check_finite(r)
     cavity, ensemble, drive = params_from_dict(r["doc"])
+    if r["noise"] < 0:
+        raise ValueError(f"noise must be >= 0, got {r['noise']!r}")
     half = r["span_mhz"] / 2.0
     grid_mhz = np.linspace(r["center_mhz"] - half, r["center_mhz"] + half, r["points"])
     t = ss.spectrum(
@@ -189,8 +204,6 @@ def _run_spectrum(r: dict) -> list:
 @click.option("--n-sat", type=float, default=None)
 @click.option("--power-w", type=float, default=None, help="Probe input power (W).")
 @click.option("--y", type=float, default=None, help="Dimensionless drive amplitude.")
-@click.option("--delta-atom-mhz", type=float, default=None,
-              help="Fixed atom detuning; by default detunings track the scanned probe.")
 @click.option("--span-mhz", type=float, default=40.0, show_default=True)
 @click.option("--center-mhz", type=float, default=0.0, show_default=True)
 @click.option("--points", type=int, default=801, show_default=True)
@@ -203,11 +216,9 @@ def _run_spectrum(r: dict) -> list:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default="spectrum.csv", show_default=True)
 def spectrum(params_path, cooperativity, gamma_perp_mhz, n_sat, power_w, y,
-             delta_atom_mhz, span_mhz, center_mhz, points, atom_offset_mhz,
-             branch, noise, seed, output):
+             span_mhz, center_mhz, points, atom_offset_mhz, branch, noise, seed, output):
     """Simulate a probe transmission spectrum and write it as CSV."""
-    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat,
-                                   power_w, y, delta_atom_mhz)
+    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y)
     doc = _load_doc(params_path, overrides)
     resolved = {
         "doc": doc,
@@ -227,7 +238,12 @@ def spectrum(params_path, cooperativity, gamma_perp_mhz, n_sat, power_w, y,
 # -------------------------------------------------------------- saturation
 
 def _run_saturation(r: dict) -> list:
+    _check_finite(r)
     cavity, ensemble, _ = params_from_dict(r["doc"])
+    if not (0 < r["pmin_w"] < r["pmax_w"]):
+        raise ValueError(f"need 0 < pmin ({r['pmin_w']!r}) < pmax ({r['pmax_w']!r})")
+    if r["points"] < 1:
+        raise ValueError(f"points must be >= 1, got {r['points']!r}")
     powers = np.logspace(np.log10(r["pmin_w"]), np.log10(r["pmax_w"]), r["points"])
     t_atoms = fitting.saturation_curve(powers, cavity, ensemble)
     empty = replace(ensemble, cooperativity=0.0)
@@ -249,10 +265,7 @@ def _run_saturation(r: dict) -> list:
 def saturation(params_path, cooperativity, gamma_perp_mhz, n_sat, pmin_w,
                pmax_w, points, output):
     """Simulate on-resonance transmission vs probe power (log-spaced grid)."""
-    if not (0 < pmin_w < pmax_w):
-        raise ValueError(f"need 0 < pmin ({pmin_w!r}) < pmax ({pmax_w!r})")
-    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat,
-                                   None, None, None)
+    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat, None, None)
     doc = _load_doc(params_path, overrides)
     resolved = {
         "doc": doc,
@@ -303,6 +316,7 @@ def _load_dataset(path) -> fitting.Dataset:
 
 
 def _run_fit(r: dict) -> list:
+    _check_finite(r)
     data = _load_dataset(r["data"])
     spec = _fitspec_from_doc(r["fitspec"])
     degenerate = []
@@ -347,6 +361,9 @@ _EMPTY_FREE = ("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz")
 
 
 def _run_empty_cavity(r: dict) -> list:
+    _check_finite(r)
+    if r["noise"] < 0:
+        raise ValueError(f"noise must be >= 0, got {r['noise']!r}")
     out = Path(r["output"])
     outputs = []
     inputs = []
@@ -458,10 +475,8 @@ def _run_lock(r: dict) -> list:
         rate, span = thermal.scan_window(therm, cavity, r["scan_rate_hz_per_s"], span)
     # the step and the scan window are checked above, with the library's own
     # messages; an option the mode does not read would otherwise reach only
-    # the manifest, where NaN and inf are not JSON
-    for key, value in r.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
+    # the manifest
+    _check_finite(r)
     out = Path(r["output"])
     metrics_path = out.with_name(out.stem + "_metrics.json")
     outputs = [out, metrics_path]

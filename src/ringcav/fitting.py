@@ -260,16 +260,10 @@ MODELS = {
 }
 
 
-def saturation_curve(powers_w, cavity: CavityParams, ensemble: EnsembleParams,
-                     policy: ss.BranchPolicy = ss.LOWEST):
-    """On-resonance transmission for each input power (delta_a = delta_c = 0).
-
-    policy is "lowest" or "highest"; follow_sweep raises ValueError, as in
-    steady_state.solve.
-    """
+def saturation_curve(powers_w, cavity: CavityParams, ensemble: EnsembleParams):
+    """On-resonance transmission for each input power (delta_a = delta_c = 0), lowest branch."""
     y2 = ss.drive_from_power(_positive_powers(powers_w), cavity, ensemble.n_sat)
-    return ss._steady_transmission(y2, 0.0, 0.0, ensemble.cooperativity, cavity.kappa_ratio,
-                                   policy)
+    return ss._steady_transmission(y2, 0.0, 0.0, ensemble.cooperativity, cavity.kappa_ratio)
 
 
 def _positive_powers(powers_w):
@@ -528,7 +522,7 @@ def _termination(reduction, predicted, cost, step_norm, x_norm, rho) -> int:
     return 4 if f_ok and x_ok else 2 if f_ok else 3 if x_ok else 0
 
 
-def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
+def fit(data: Dataset, spec: FitSpec) -> FitResult:
     """Weighted least-squares fit of the chosen model.
 
     Runs a deterministic multi-start (first start is the heuristic init,
@@ -536,7 +530,7 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     the best cost, breaks ties (costs within 1e-9 (1 + best)) by lowest
     cooperativity. It stops once AGREEING_STARTS starts have reached the best
     cost so far, a strictly better cost counting as the first again, or after
-    n_starts starts; a start that ends where some jacobian column is flat
+    N_STARTS starts; a start that ends where some jacobian column is flat
     (gamma_perp's, on C = 0) takes part in the tie-break but is not counted.
     Raises NotConverged if the winner exhausted its evaluation budget,
     DegenerateFit (carrying the result) if the objective is flat along some
@@ -550,8 +544,6 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     model = MODELS[spec.model]
     if len(spec.free) == 0:
         raise ValueError("no free parameters")
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     if data.x.size < 2 * len(spec.free):
         raise ValueError(
             f"need >= {2 * len(spec.free)} points for {len(spec.free)} free parameters, "
@@ -568,7 +560,7 @@ def fit(data: Dataset, spec: FitSpec, n_starts: int = N_STARTS) -> FitResult:
     init = default_init(data, spec)
 
     best, agreeing = None, 0
-    for run, start in enumerate(_jittered_starts(init, bounds, n_starts), 1):
+    for run, start in enumerate(_jittered_starts(init, bounds, N_STARTS), 1):
         res = least_squares(problem, np.array([start[n] for n in names]), lo, hi)
         # an end point where the cost does not depend on some parameter (on
         # C = 0, gamma_perp) is reached by every start that runs onto that

@@ -2,11 +2,12 @@
 
 All angular rates are stored in rad/s (see units.py). Constructors ending in
 ``_from_dict`` implement the external JSON schema, which speaks MHz/nm/W and
-rejects unknown keys and values that are not numbers.
+rejects unknown keys and values that are not finite numbers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 
 from .errors import AmbiguousDrive, NonPositiveRate
 from .units import TWO_PI, mhz_to_rad
@@ -96,32 +97,18 @@ class EnsembleParams:
         """Transverse decay rate gamma_par/2 + gamma_d (rad/s)."""
         return self.gamma_par / 2.0 + self.gamma_d
 
-    def with_gamma_perp(self, gamma_perp: float) -> "EnsembleParams":
-        """Return a copy whose dephasing realizes the given gamma_perp.
-
-        Fit convenience: gamma_perp is the parameter the spectra constrain,
-        so gamma_d is back-computed as gamma_perp - gamma_par/2.
-        """
-        gamma_d = gamma_perp - self.gamma_par / 2.0
-        if gamma_d < 0:
-            raise NonPositiveRate(
-                f"gamma_perp={gamma_perp!r} below gamma_par/2={self.gamma_par / 2.0!r}"
-            )
-        return replace(self, gamma_d=gamma_d)
-
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Probe drive: power or dimensionless amplitude, plus detunings.
+    """Probe drive: power or dimensionless amplitude.
 
     Exactly one of ``input_power`` (W) and ``y`` (dimensionless, real >= 0)
     is set; conversion between them is always an explicit call to
-    steady_state.drive_from_power / power_from_drive. Detunings are angular
-    (rad/s); their normalized forms are derived on demand, never stored.
+    steady_state.drive_from_power / power_from_drive. The detunings are not
+    drive settings: steady_state.spectrum derives them from the scanned probe
+    frequency and the atomic resonance offset.
     """
 
-    delta_atom: float = 0.0
-    delta_cavity: float = 0.0
     input_power: float | None = None
     y: float | None = None
 
@@ -136,16 +123,12 @@ class DriveParams:
         if self.y is not None and not (self.y >= 0):
             raise NonPositiveRate(f"y must be real >= 0, got {self.y!r}")
 
-    def normalized(self, cavity: CavityParams, ensemble: EnsembleParams) -> tuple[float, float]:
-        """Return (delta_a, delta_c) = (delta_atom/gamma_perp, delta_cavity/kappa)."""
-        return self.delta_atom / ensemble.gamma_perp, self.delta_cavity / cavity.kappa
-
 
 # reference values of the system this package models, external-unit form
 NOMINAL = {
     "cavity": {"kappa_i_mhz": 1.7, "kappa_ex_mhz": 0.47, "fsr_mhz": 148.0, "lambda_p_nm": 852.0},
     "ensemble": {"cooperativity": 1.5, "gamma_par_mhz": 5.2, "gamma_perp_mhz": 4.0, "n_sat": 12.7},
-    "drive": {"input_power_w": 30e-12, "delta_atom_mhz": 0.0, "delta_cavity_mhz": 0.0},
+    "drive": {"input_power_w": 30e-12},
 }
 
 #: defaults of ThermalParams, LockConfig and the ``lock`` options, keyed like
@@ -176,6 +159,9 @@ def _check_section(section: str, data: dict, allowed: set[str]):
     for key, value in data.items():
         if not is_number(value):
             raise ValueError(f"{section} key {key!r} must be a number, got {value!r}")
+        # an int beyond the float range would overflow where it is first used
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{section} key {key!r} must be finite, got {value!r}")
 
 
 def cavity_from_dict(data: dict) -> CavityParams:
@@ -213,11 +199,8 @@ def ensemble_from_dict(data: dict) -> EnsembleParams:
 
 
 def drive_from_dict(data: dict) -> DriveParams:
-    allowed = {"input_power_w", "y", "delta_atom_mhz", "delta_cavity_mhz"}
-    _check_section("drive", data, allowed)
+    _check_section("drive", data, {"input_power_w", "y"})
     return DriveParams(
-        delta_atom=mhz_to_rad(data.get("delta_atom_mhz", 0.0)),
-        delta_cavity=mhz_to_rad(data.get("delta_cavity_mhz", 0.0)),
         input_power=data.get("input_power_w"),
         y=data.get("y"),
     )

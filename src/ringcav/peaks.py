@@ -117,11 +117,11 @@ def find_peaks(y, prominence: float):
     return peaks[dropped[:m] & dropped[m:]]
 
 
-def find_local_maxima(x, y, prominence_fraction: float = PROMINENCE_FRACTION):
+def find_local_maxima(x, y):
     """Refined positions of local maxima of y(x) above the prominence cut.
 
     Returns an array of x-positions, ascending. Endpoints never count as
-    maxima; the prominence threshold is prominence_fraction of max-min or
+    maxima; the prominence threshold is PROMINENCE_FRACTION of max-min or
     the extreme-value floor of the estimated noise, whichever is larger.
     """
     x = np.asarray(x, dtype=float)
@@ -129,15 +129,15 @@ def find_local_maxima(x, y, prominence_fraction: float = PROMINENCE_FRACTION):
     full_scale = float(np.max(y) - np.min(y))
     if full_scale == 0.0:
         return np.empty(0)
-    prominence = max(prominence_fraction * full_scale, _noise_prominence_floor(y))
+    prominence = max(PROMINENCE_FRACTION * full_scale, _noise_prominence_floor(y))
     idx = find_peaks(y, prominence)
     return np.array([_quadratic_refine(x, y, i) for i in idx])
 
 
-def find_transmission_dips(x, transmission, prominence_fraction: float = PROMINENCE_FRACTION):
+def find_transmission_dips(x, transmission):
     """Positions of resonance features, i.e. local minima of the transmission."""
     t = np.asarray(transmission, dtype=float)
-    return find_local_maxima(x, 1.0 - t, prominence_fraction)
+    return find_local_maxima(x, 1.0 - t)
 
 
 def measure_splitting(x, transmission):

@@ -62,11 +62,6 @@ class RingModel:
         """On-resonance power transmission ((t - a)/(1 - t a))^2."""
         return ((self.t_coupler - self.a_roundtrip) / (1.0 - self.t_coupler * self.a_roundtrip)) ** 2
 
-    @property
-    def undercoupled(self) -> bool:
-        """True when intrinsic loss dominates the coupler (a < t)."""
-        return self.a_roundtrip < self.t_coupler
-
 
 def ring_transmission(nu_hz, model: RingModel):
     """Power transmission at frequency nu_hz (scalar or array), in [dip, 1]."""
@@ -111,24 +106,22 @@ def rates_from_ring(model: RingModel) -> tuple[float, float]:
     return kappa_i, kappa_ex
 
 
-def ring_from_rates(cavity: CavityParams, detuning_offset: float = 0.0) -> RingModel:
+def ring_from_rates(cavity: CavityParams) -> RingModel:
     """Inverse of rates_from_ring: t = e^{-kappa_ex/FSR}, a = e^{-kappa_i/FSR}."""
     return RingModel(
         t_coupler=math.exp(-cavity.kappa_ex / cavity.fsr),
         a_roundtrip=math.exp(-cavity.kappa_i / cavity.fsr),
         fsr=cavity.fsr,
-        detuning_offset=detuning_offset,
     )
 
 
 def ring_from_lineshape(finesse: float, fsr: float, dip_transmission: float,
-                        detuning_offset: float = 0.0, overcoupled: bool = False) -> RingModel:
+                        detuning_offset: float = 0.0) -> RingModel:
     """Build a RingModel from directly measurable lineshape quantities.
 
     Inverts finesse = pi sqrt(ta)/(1 - ta) for the product m = ta, then
-    splits it using the dip depth: |t - a| = sqrt(T_dip) (1 - m). The
-    undercoupled assignment (t > a) is the default; pass overcoupled=True
-    for the mirror solution.
+    splits it using the dip depth: |t - a| = sqrt(T_dip) (1 - m), with the
+    undercoupled assignment t > a that _lineshape_partials differentiates.
     """
     if not (finesse > 0):
         raise NonPositiveRate(f"finesse must be > 0, got {finesse!r}")
@@ -140,8 +133,7 @@ def ring_from_lineshape(finesse: float, fsr: float, dip_transmission: float,
     m = sqrt_m * sqrt_m
     diff = math.sqrt(dip_transmission) * (1.0 - m)
     s = math.sqrt(diff * diff + 4.0 * m)  # t + a
-    hi, lo = (s + diff) / 2.0, (s - diff) / 2.0
-    t, a = (lo, hi) if overcoupled else (hi, lo)
+    t, a = (s + diff) / 2.0, (s - diff) / 2.0
     return RingModel(t_coupler=t, a_roundtrip=min(a, 1.0), fsr=fsr, detuning_offset=detuning_offset)
 
 

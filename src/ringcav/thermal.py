@@ -37,6 +37,12 @@ from .params import THERMAL_DEFAULTS, CavityParams
 #: consecutive out-of-capture-range steps tolerated before declaring the lock lost
 CAPTURE_PATIENCE = 100
 
+#: cold linewidths by which lock_loop holds the warm resonance below the cold one
+LOCK_OFFSET_LINEWIDTHS = 10.0
+
+#: half-width of lock_loop's capture range around the setpoint, in bare-cavity dip depths
+CAPTURE_BAND = 0.45
+
 #: most integrator steps one run may take: 10**7 steps loop for several seconds
 #: and fill 80 MB per recorded column; a longer run is refused before anything
 #: is allocated
@@ -144,7 +150,6 @@ class TimeSeries:
     """Simulation record; all arrays share one time axis."""
 
     time_s: np.ndarray
-    heater_freq_hz: np.ndarray
     heater_detuning_hz: np.ndarray
     resonance_offset_hz: np.ndarray
     p_circ_w: np.ndarray
@@ -244,7 +249,6 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     }
     return TimeSeries(
         time_s=time_s,
-        heater_freq_hz=heater_freq,
         heater_detuning_hz=detuning,
         resonance_offset_hz=offset,
         p_circ_w=p_circ,
@@ -305,12 +309,10 @@ def equilibrium_detuning(target_offset_hz: float, thermal: ThermalParams,
 
 
 def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
-              cavity: CavityParams, disturbance=None,
-              lock_offset_linewidths: float = 10.0,
-              capture_band: float | None = None) -> TimeSeries:
+              cavity: CavityParams, disturbance=None) -> TimeSeries:
     """Closed-loop resonance stabilization to a side-of-fringe probe setpoint.
 
-    Geometry: the cold resonance sits lock_offset_linewidths above the probe
+    Geometry: the cold resonance sits LOCK_OFFSET_LINEWIDTHS above the probe
     region; the heater holds the warm resonance half a linewidth below the
     fixed probe frequency (blue flank, transmission = setpoint). Each step
     the integral controller moves the heater laser by
@@ -319,8 +321,8 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
 
     disturbance: optional callable t -> Hz added to the resonance position as
     an exogenous perturbation. Raises LockLost if the probe transmission
-    stays outside setpoint +- capture_band for more than CAPTURE_PATIENCE
-    consecutive steps.
+    stays outside setpoint +- CAPTURE_BAND * depth (the bare-cavity dip depth)
+    for more than CAPTURE_PATIENCE consecutive steps.
 
     Metrics: rms transmission error, rms resonance error (Hz), re-lock time
     (duration of the out-of-band resonance excursion, 5% of a linewidth
@@ -335,14 +337,13 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
         raise ValueError(
             f"setpoint {config.setpoint!r} outside the fringe ({1 - depth:.3f}, 1)"
         )
-    target_offset = -lock_offset_linewidths * w
+    target_offset = -LOCK_OFFSET_LINEWIDTHS * w
     # probe detuning from resonance realizing the setpoint, blue flank
     dp = 0.5 * w * math.sqrt(depth / (1.0 - config.setpoint) - 1.0)
     nu_probe = target_offset + dp
     dh0 = equilibrium_detuning(target_offset, thermal, config, cavity)
     heater_base = target_offset + dh0
-    if capture_band is None:
-        capture_band = 0.45 * depth
+    capture_band = CAPTURE_BAND * depth
 
     dt = config.dt
     n = _step_count(duration_s, dt)
@@ -402,7 +403,6 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     }
     return TimeSeries(
         time_s=time_s,
-        heater_freq_hz=heater_freq,
         heater_detuning_hz=detuning,
         resonance_offset_hz=offset_rec,
         p_circ_w=p_circ,
@@ -418,10 +418,9 @@ def step_disturbance(t0_s: float, size_hz: float):
     return lambda t: size_hz if t >= t0_s else 0.0
 
 
-def default_lock_config(cavity: CavityParams, thermal: ThermalParams | None = None) -> LockConfig:
+def default_lock_config(cavity: CavityParams, thermal: ThermalParams) -> LockConfig:
     """Demo lock configuration: mid-fringe setpoint, dt = tau_th/40.
 
     gain_i (verified stable) and heater_power keep LockConfig's defaults.
     """
-    thermal = thermal or ThermalParams()
     return LockConfig(setpoint=1.0 - dip_depth(cavity) / 2.0, dt=thermal.tau_th / 40.0)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import click
 import numpy as np
@@ -63,6 +64,17 @@ def test_spectrum_bad_params_file_exits_2(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["spectrum", "--params", "p.json"])
     assert result.exit_code == 2
     assert "bogus_key" in result.output or "unknown" in result.output
+
+
+def test_spectrum_takes_no_fixed_detuning(runner, tmp_path, monkeypatch):
+    # the probe scan sets both detunings, so the drive section takes neither
+    monkeypatch.chdir(tmp_path)
+    assert "--delta-atom-mhz" not in runner.invoke(main, ["spectrum", "--help"]).output
+    for key in ("delta_atom_mhz", "delta_cavity_mhz"):
+        (tmp_path / "p.json").write_text(json.dumps({"drive": {key: 25}}))
+        result = runner.invoke(main, ["spectrum", "--params", "p.json"])
+        assert result.exit_code == 2
+        assert f"unknown keys in 'drive': ['{key}']" in result.stderr
 
 
 def test_spectrum_missing_params_file_exits_2(runner, tmp_path, monkeypatch):
@@ -298,6 +310,52 @@ def test_lock_rejects_non_finite_settings(runner, tmp_path, monkeypatch, option,
             json.loads(path.read_text(), parse_constant=_no_constant)
 
 
+_FLOATS = [(command, p.opts[0]) for command in ("spectrum", "saturation", "empty-cavity")
+           for p in main.commands[command].params
+           if isinstance(p.type, click.types.FloatParamType)]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command, option", _FLOATS)
+def test_non_finite_float_options_exit_2_before_any_work(runner, tmp_path, monkeypatch,
+                                                         command, option, value):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [command, f"{option}={value}"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and "must be finite" in result.stderr
+    assert not caught
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("slot, value", [("fixed", "fsr_mhz"), ("init", "finesse")])
+def test_non_finite_fitspec_values_exit_2(runner, tmp_path, monkeypatch, slot, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("detuning_mhz,transmission\n0,0.5\n1,0.6\n2,0.7\n")
+    for number in (float("nan"), float("inf")):
+        fitspec = {"model": "empty_ring", "free": ["finesse"], slot: {value: number}}
+        (tmp_path / "fs.json").write_text(json.dumps(fitspec))
+        result = runner.invoke(main, ["fit", "--data", "d.csv", "--fitspec", "fs.json"])
+        assert result.exit_code == 2, result.output
+        assert f"{value} must be finite" in result.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spectrum", "--noise", "-0.1"], "noise must be >= 0"),
+    (["empty-cavity", "--noise", "-0.1"], "noise must be >= 0"),
+    (["saturation", "--points", "0"], "points must be >= 1"),
+])
+def test_negative_noise_and_empty_power_grid_exit_2(runner, tmp_path, monkeypatch, args,
+                                                    message):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_lock_help_defaults_are_the_library_defaults(runner, cavity):
     text = " ".join(runner.invoke(main, ["lock", "--help"]).output.split())
     shown = {}
@@ -493,8 +551,7 @@ _PARAM_KEYS = [
     ("cavity", "lambda_p_nm"),
     ("ensemble", "cooperativity"), ("ensemble", "gamma_par_mhz"), ("ensemble", "gamma_d_mhz"),
     ("ensemble", "gamma_perp_mhz"), ("ensemble", "n_sat"),
-    ("drive", "input_power_w"), ("drive", "y"), ("drive", "delta_atom_mhz"),
-    ("drive", "delta_cavity_mhz"),
+    ("drive", "input_power_w"), ("drive", "y"),
 ]
 
 
@@ -518,6 +575,18 @@ def test_params_reject_non_numbers(key, value):
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.stderr
     assert f"{name!r} must be a number" in result.stderr
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", _PARAM_KEYS)
+def test_params_reject_non_finite_numbers(key, value):
+    # json reads NaN, Infinity and -Infinity as floats
+    section, name = key
+    result = _invoke_in_scratch_dir({"p.json": {section: {name: value}}},
+                                    ["spectrum", "--params", "p.json", "--points", "5"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.stderr
+    assert name in result.stderr and "must be finite" in result.stderr
 
 
 @settings(max_examples=80, deadline=None)

@@ -37,7 +37,6 @@ def test_timeseries_csv_converts_to_mhz(tmp_path):
 
     series = TimeSeries(
         time_s=np.array([0.0, 1.0]),
-        heater_freq_hz=np.array([1e6, 2e6]),
         heater_detuning_hz=np.array([3e6, 4e6]),
         resonance_offset_hz=np.array([-5e6, -6e6]),
         p_circ_w=np.array([1e-3, 2e-3]),

@@ -9,7 +9,6 @@ from ringcav.params import (
     DriveParams,
     EnsembleParams,
     cavity_from_dict,
-    drive_from_dict,
     ensemble_from_dict,
     merge_document,
     nominal_params,
@@ -52,16 +51,6 @@ def test_nominal_gamma_perp_is_4mhz(ensemble):
     assert ensemble.gamma_perp == pytest.approx(2.0 * math.pi * 4.0e6, rel=1e-12)
 
 
-def test_with_gamma_perp_roundtrip(ensemble):
-    again = ensemble.with_gamma_perp(ensemble.gamma_perp)
-    assert again.gamma_d == pytest.approx(ensemble.gamma_d, rel=1e-12)
-
-
-def test_with_gamma_perp_below_floor_raises(ensemble):
-    with pytest.raises(NonPositiveRate):
-        ensemble.with_gamma_perp(0.4 * ensemble.gamma_par)
-
-
 def test_drive_requires_exactly_one_amplitude():
     with pytest.raises(AmbiguousDrive):
         DriveParams(input_power=1e-12, y=0.5)
@@ -69,13 +58,6 @@ def test_drive_requires_exactly_one_amplitude():
         DriveParams()
     DriveParams(y=0.5)
     DriveParams(input_power=1e-12)
-
-
-def test_drive_normalized(cavity, ensemble):
-    d = DriveParams(delta_atom=ensemble.gamma_perp, delta_cavity=cavity.kappa, y=1.0)
-    da, dc = d.normalized(cavity, ensemble)
-    assert da == pytest.approx(1.0, rel=1e-15)
-    assert dc == pytest.approx(1.0, rel=1e-15)
 
 
 def test_unknown_top_level_key_rejected():
@@ -132,7 +114,7 @@ def test_nominal_params_consistency():
     cav, ens, drv = nominal_params()
     assert cav.finesse == pytest.approx(34.101382, rel=1e-6)
     assert ens.n_sat == 12.7
-    assert drv.delta_atom == 0.0
+    assert drv.input_power == 30e-12 and drv.y is None
 
 
 def test_cavity_from_dict_missing_key():
@@ -140,6 +122,10 @@ def test_cavity_from_dict_missing_key():
         cavity_from_dict({"kappa_i_mhz": 1.7})
 
 
-def test_drive_from_dict_defaults_detunings():
-    d = drive_from_dict({"y": 0.5})
-    assert d.delta_atom == 0.0 and d.delta_cavity == 0.0
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in NOMINAL.items() for key in keys
+] + [("ensemble", "gamma_d_mhz"), ("drive", "y")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_non_finite_values_rejected(section, key, value):
+    with pytest.raises(ValueError, match=f"{section} key '{key}' must be finite"):
+        params_from_dict({section: {key: value}})

@@ -32,7 +32,7 @@ def test_periodicity(nominal_ring):
 
 
 def test_undercoupled_dip_not_zero(nominal_ring):
-    assert nominal_ring.undercoupled
+    assert nominal_ring.t_coupler > nominal_ring.a_roundtrip
     assert 0.0 < nominal_ring.dip_transmission < 1.0
     t_dip = ring.ring_transmission(np.array([0.0]), nominal_ring)[0]
     assert t_dip == pytest.approx(nominal_ring.dip_transmission, rel=1e-12)
@@ -110,19 +110,6 @@ def test_lineshape_roundtrip(nominal_ring):
     )
     assert m2.t_coupler == pytest.approx(nominal_ring.t_coupler, rel=1e-10)
     assert m2.a_roundtrip == pytest.approx(nominal_ring.a_roundtrip, rel=1e-10)
-
-
-def test_lineshape_overcoupled_branch(nominal_ring):
-    m2 = ring.ring_from_lineshape(
-        finesse=nominal_ring.finesse,
-        fsr=nominal_ring.fsr,
-        dip_transmission=nominal_ring.dip_transmission,
-        overcoupled=True,
-    )
-    # swapped roles: round trip survival above coupler transmission
-    assert m2.a_roundtrip > m2.t_coupler
-    assert m2.finesse == pytest.approx(nominal_ring.finesse, rel=1e-9)
-    assert m2.dip_transmission == pytest.approx(nominal_ring.dip_transmission, rel=1e-9)
 
 
 def test_low_finesse_rate_mapping_rejected():

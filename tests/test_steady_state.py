@@ -265,16 +265,11 @@ def test_follow_walk_at_the_grid_ends():
         assert np.array_equal(_follow_per_point(roots, counts, direction), want[direction])
 
 
-def test_saturation_curve_rejects_follow_sweep(cavity, ensemble):
-    from ringcav.fitting import saturation_curve
-
-    powers = np.logspace(-12, -8, 20)
-    for direction in ("up", "down"):
-        with pytest.raises(ValueError, match="follow_sweep"):
-            saturation_curve(powers, cavity, ensemble, ss.BranchPolicy("follow_sweep", direction))
-    lo = saturation_curve(powers, cavity, ensemble, ss.LOWEST)
-    hi = saturation_curve(powers, cavity, ensemble, ss.HIGHEST)
-    assert np.all(hi <= lo)
+def test_resonant_highest_branch_transmits_no_more_than_lowest(cavity, ensemble):
+    y2 = ss.drive_from_power(np.logspace(-12, -8, 20), cavity, ensemble.n_sat)
+    args = (y2, 0.0, 0.0, ensemble.cooperativity, cavity.kappa_ratio)
+    hi = ss._steady_transmission(*args, ss.HIGHEST)
+    assert np.all(hi <= ss._steady_transmission(*args, ss.LOWEST))
 
 
 # ------------------------------------------------------- drive conversion

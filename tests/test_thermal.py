@@ -217,10 +217,11 @@ def test_scan_down_pulls_resonance_red(cavity, therm, config):
 def test_scan_timeseries_shapes(cavity, therm, config):
     series = thermal.scan_experiment("up", 4e9, 300e6, therm, config, cavity)
     n = series.time_s.size
-    for name in ("heater_freq_hz", "heater_detuning_hz", "resonance_offset_hz",
-                 "p_circ_w", "probe_transmission"):
+    for name in ("heater_detuning_hz", "resonance_offset_hz", "p_circ_w", "probe_transmission"):
         assert getattr(series, name).shape == (n,)
-    assert series.heater_freq_hz[0] == pytest.approx(-150e6)
+    # the up scan starts at the bottom of the span, with the resonance not yet pulled
+    assert series.resonance_offset_hz[0] == 0.0
+    assert series.heater_detuning_hz[0] == pytest.approx(-150e6)
 
 
 def test_lock_loop_holds_setpoint(cavity, therm, config):
@@ -348,7 +349,7 @@ def _replay_scan(direction, scan_rate, span_hz, therm, config, cavity):
         "final_resonance_offset_hz": float(offset[-1]),
         "max_pull_hz": float(offset.min()),
     }
-    return thermal.TimeSeries(time_s, heater_freq, detuning, offset, p_circ,
+    return thermal.TimeSeries(time_s, detuning, offset, p_circ,
                               thermal.probe_transmission(detuning, cavity), metrics)
 
 
@@ -363,7 +364,7 @@ def _replay_lock(duration_s, therm, config, cavity, disturbance=None):
     dt = config.dt
     n = int(math.ceil(duration_s / dt)) + 1
     time_s = np.arange(n) * dt
-    heater_freq, detuning, offset_rec, p_circ, t_probe = (np.empty(n) for _ in range(5))
+    detuning, offset_rec, p_circ, t_probe = (np.empty(n) for _ in range(4))
     off, integral, out_of_band = target_offset, 0.0, 0
     for k in range(n):
         d_ext = float(disturbance(time_s[k])) if disturbance is not None else 0.0
@@ -383,8 +384,7 @@ def _replay_lock(duration_s, therm, config, cavity, disturbance=None):
         nu_h = heater_base + integral
         dh = nu_h - res_pos
         pc = _p_circ(dh, config.heater_power, cavity)
-        heater_freq[k], detuning[k], offset_rec[k], p_circ[k], t_probe[k] = (
-            nu_h, dh, res_pos, pc, t_p)
+        detuning[k], offset_rec[k], p_circ[k], t_probe[k] = dh, res_pos, pc, t_p
         off = _relax(off, pc, therm, dt)
     res_err = offset_rec - target_offset
     abs_err = np.abs(res_err)
@@ -395,12 +395,11 @@ def _replay_lock(duration_s, therm, config, cavity, disturbance=None):
         "final_resonance_offset_hz": float(offset_rec[-1]),
         "max_resonance_error_hz": float(abs_err.max()),
     }
-    return thermal.TimeSeries(time_s, heater_freq, detuning, offset_rec, p_circ, t_probe,
-                              metrics)
+    return thermal.TimeSeries(time_s, detuning, offset_rec, p_circ, t_probe, metrics)
 
 
-_SERIES_ARRAYS = ("time_s", "heater_freq_hz", "heater_detuning_hz", "resonance_offset_hz",
-                  "p_circ_w", "probe_transmission")
+_SERIES_ARRAYS = ("time_s", "heater_detuning_hz", "resonance_offset_hz", "p_circ_w",
+                  "probe_transmission")
 
 
 def _assert_same_series(got, want):
