@@ -113,6 +113,20 @@ def _check_finite(resolved: dict) -> None:
             raise ValueError(f"{key} must be finite, got {value!r}")
 
 
+#: most points one grid may have: a 10**6-point spectrum takes about 2 s and
+#: 270 MB and writes 30 MB of CSV (2-CPU x86-64); a larger grid is refused
+#: before anything is allocated
+MAX_POINTS = 10 ** 6
+
+
+def _check_points(points: int) -> None:
+    """Refuse an empty grid, or one of more than MAX_POINTS, before it exists."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points!r}")
+    if points > MAX_POINTS:
+        raise ValueError(f"{points} points is more than MAX_POINTS={MAX_POINTS}")
+
+
 def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
     """Write one manifest per output; returns outputs + manifest paths."""
     manifest = io.build_manifest(command, resolved, [str(p) for p in inputs],
@@ -178,6 +192,7 @@ def _run_spectrum(r: dict) -> list:
     cavity, ensemble, drive = params_from_dict(r["doc"])
     if r["noise"] < 0:
         raise ValueError(f"noise must be >= 0, got {r['noise']!r}")
+    _check_points(r["points"])
     half = r["span_mhz"] / 2.0
     grid_mhz = np.linspace(r["center_mhz"] - half, r["center_mhz"] + half, r["points"])
     t = ss.spectrum(
@@ -242,8 +257,7 @@ def _run_saturation(r: dict) -> list:
     cavity, ensemble, _ = params_from_dict(r["doc"])
     if not (0 < r["pmin_w"] < r["pmax_w"]):
         raise ValueError(f"need 0 < pmin ({r['pmin_w']!r}) < pmax ({r['pmax_w']!r})")
-    if r["points"] < 1:
-        raise ValueError(f"points must be >= 1, got {r['points']!r}")
+    _check_points(r["points"])
     powers = np.logspace(np.log10(r["pmin_w"]), np.log10(r["pmax_w"]), r["points"])
     t_atoms = fitting.saturation_curve(powers, cavity, ensemble)
     empty = replace(ensemble, cooperativity=0.0)
@@ -364,23 +378,19 @@ def _run_empty_cavity(r: dict) -> list:
     _check_finite(r)
     if r["noise"] < 0:
         raise ValueError(f"noise must be >= 0, got {r['noise']!r}")
-    out = Path(r["output"])
-    outputs = []
-    inputs = []
+    spec = fitting.FitSpec(model="empty_ring", free=_EMPTY_FREE)
     if r["data"] is not None:
         data = _load_dataset(r["data"])
-        inputs.append(r["data"])
+        inputs = [r["data"]]
     else:
-        truth = r["truth"]
-        spec = fitting.FitSpec(model="empty_ring", free=_EMPTY_FREE)
+        _check_points(r["points"])
         half = r["span_mhz"] / 2.0
         grid = np.linspace(-half, half, r["points"])
-        data = fitting.generate_synthetic(spec, grid, truth,
+        data = fitting.generate_synthetic(spec, grid, r["truth"],
                                           noise_sigma=r["noise"], seed=r["seed"])
-        data_path = out.with_name(out.stem + "_data.csv")
-        io.write_spectrum_csv(data_path, data.x, data.yobs)
-        outputs.append(data_path)
-    spec = fitting.FitSpec(model="empty_ring", free=_EMPTY_FREE)
+        inputs = []
+    # nothing is written until the fit has succeeded, so a refused or failed
+    # fit leaves no synthesized data behind without its manifest
     result = fitting.fit(data, spec)
     est = result.estimates
     model = ring.ring_from_lineshape(
@@ -400,6 +410,12 @@ def _run_empty_cavity(r: dict) -> list:
         "t_coupler": model.t_coupler,
         "a_roundtrip": model.a_roundtrip,
     }
+    out = Path(r["output"])
+    outputs = []
+    if r["data"] is None:
+        data_path = out.with_name(out.stem + "_data.csv")
+        io.write_spectrum_csv(data_path, data.x, data.yobs)
+        outputs.append(data_path)
     io.write_json(out, payload)
     outputs.append(out)
     return _finish("empty-cavity", r, inputs, outputs)

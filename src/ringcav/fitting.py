@@ -173,25 +173,37 @@ def _cubic_model(p, free, cavity, ensemble, power_w, omega):
         y2, delta_c, delta_a, ensemble.cooperativity, cavity.kappa_ratio, partials=True)
     per_mhz = mhz_to_rad(1.0)
     y2_t = y2 * t_y2
-    d_kappa = -(2.0 * y2_t + delta_c * t_dc + cavity.kappa_ratio * t_r) * (per_mhz / cavity.kappa)
+
+    def d_kappa():
+        return -(2.0 * y2_t + delta_c * t_dc + cavity.kappa_ratio * t_r) * (per_mhz / cavity.kappa)
+
     columns = {
         "kappa_i_mhz": d_kappa,
-        "kappa_ex_mhz": d_kappa + (y2_t / cavity.kappa_ex + t_r / cavity.kappa) * per_mhz,
-        "fsr_mhz": np.zeros_like(t),
-        "lambda_p_nm": y2_t / p["lambda_p_nm"],
-        "cooperativity": t_c,
-        "gamma_perp_mhz": -delta_a * t_da * (per_mhz / ensemble.gamma_perp),
-        "gamma_par_mhz": np.zeros_like(t),
-        "n_sat": -y2_t / ensemble.n_sat,
-        "input_power_w": ss.drive_from_power(1.0, cavity, ensemble.n_sat) * t_y2,
+        "kappa_ex_mhz": lambda: d_kappa() + (y2_t / cavity.kappa_ex + t_r / cavity.kappa) * per_mhz,
+        "lambda_p_nm": lambda: y2_t / p["lambda_p_nm"],
+        "cooperativity": lambda: t_c,
+        "gamma_perp_mhz": lambda: -delta_a * t_da * (per_mhz / ensemble.gamma_perp),
+        "n_sat": lambda: -y2_t / ensemble.n_sat,
+        "input_power_w": lambda: ss.drive_from_power(1.0, cavity, ensemble.n_sat) * t_y2,
     }
     return p["scale"] * t + p["baseline"], _jacobian(columns, free, p["scale"], t)
 
 
 def _jacobian(columns, free, scale, t):
-    """Columns of d(scale * t + baseline)/dtheta, given dt/dtheta for the physical names."""
-    nuisance = {"scale": t, "baseline": np.ones_like(t)}
-    return np.column_stack([nuisance[n] if n in nuisance else scale * columns[n] for n in free])
+    """Columns of d(scale * t + baseline)/dtheta, one per name in free.
+
+    columns maps a physical name to a function returning dt/dtheta, called
+    only when the name is free; a name it lacks has an exact zero column.
+    """
+    jac = np.zeros((t.size, len(free)))
+    for j, name in enumerate(free):
+        if name == "scale":
+            jac[:, j] = t
+        elif name == "baseline":
+            jac[:, j] = 1.0
+        elif name in columns:
+            jac[:, j] = scale * columns[name]()
+    return jac
 
 
 def _ring_model(x_mhz, p, free=()):
@@ -206,10 +218,10 @@ def _ring_model(x_mhz, p, free=()):
     t, (t_t, t_a, t_fsr, t_offset) = _ring_transmission(x_mhz * 1e6, model, partials=True)
     (t_f, a_f), (t_d, a_d) = _lineshape_partials(p["finesse"], p["dip_transmission"])
     columns = {
-        "finesse": t_t * t_f + t_a * a_f,
-        "dip_transmission": t_t * t_d + t_a * a_d,
-        "fsr_mhz": t_fsr * 1e6,
-        "nu0_mhz": t_offset * 1e6,
+        "finesse": lambda: t_t * t_f + t_a * a_f,
+        "dip_transmission": lambda: t_t * t_d + t_a * a_d,
+        "fsr_mhz": lambda: t_fsr * 1e6,
+        "nu0_mhz": lambda: t_offset * 1e6,
     }
     return p["scale"] * t + p["baseline"], _jacobian(columns, free, p["scale"], t)
 
@@ -302,8 +314,8 @@ def objective(data: Dataset, spec: FitSpec, params: dict) -> float:
     return float(np.sum(data.weights * (ymodel - data.yobs) ** 2))
 
 
-def default_init(data: Dataset, spec: FitSpec) -> dict:
-    """Heuristic initial guesses for the free parameters.
+def default_init(data: Dataset, spec: FitSpec) -> tuple[dict, dict]:
+    """Heuristic initial guesses for the free parameters, and their spread.
 
     atomic_spectrum: cooperativity from the measured dip splitting through
     the inverted splitting estimate (with the fixed cavity rates and the
@@ -312,9 +324,18 @@ def default_init(data: Dataset, spec: FitSpec) -> dict:
     empty_ring: FSR from the median dip spacing, nu0 from the dip nearest
     zero, dip level from the data minimum.
     All heuristics are overridable through FitSpec.init.
+
+    The spread maps a free parameter to the widest jitter _jittered_starts
+    may give it. It holds fsr_mhz and nu0_mhz, at the comb's linewidth
+    fsr/finesse at the guess, when the data show two or more dips, each
+    resolved by the grid (_resolved_dips), and FitSpec.init overrides
+    neither: a start within a linewidth of the measured comb stays in its
+    basin, while one a quarter FSR off can end in an alias minimum (a comb
+    of half the FSR, or one whose dips straddle the data's).
     """
     full, bounds = _resolve(spec)
     guess = {name: full[name] for name in spec.free}
+    spread = {}
     if spec.model == "atomic_spectrum" and "cooperativity" in spec.free:
         try:
             split_hz = measure_splitting(data.x, data.yobs) * 1e6
@@ -331,16 +352,43 @@ def default_init(data: Dataset, spec: FitSpec) -> dict:
             guess["nu0_mhz"] = float(dips[np.argmin(np.abs(dips))])
         if "dip_transmission" in spec.free:
             guess["dip_transmission"] = float(np.min(data.yobs))
+        measured = {"fsr_mhz", "nu0_mhz"} & (set(spec.free) - set(spec.init))
+        if measured and len(dips) >= 2 and _resolved_dips(data.x, data.yobs, dips):
+            point = {**full, **guess, **spec.init}
+            spread = dict.fromkeys(measured, point["fsr_mhz"] / point["finesse"])
     guess.update(spec.init)
     for name, (lo, hi) in bounds.items():
         guess[name] = float(np.clip(guess[name], lo, hi))
-    return guess
+    return guess, spread
 
 
-def _jittered_starts(init: dict, bounds: dict, n_starts: int) -> list[dict]:
-    # deterministic jitter; data-order independent by construction. The
-    # spread is capped near the init value so very wide bounds (fsr, nu0)
-    # don't scatter starts into alias basins of periodic models. An overshoot
+def _resolved_dips(x, yobs, dips) -> bool:
+    """Whether every dip has two or more samples at or past half its depth.
+
+    A dip's depth runs from the median extinction 1 - yobs (the level between
+    dips) to its deepest sample. A dip with one sample alone past half its
+    depth is at most two grid steps wide, and the comb through it is known
+    to about a step, which may be more than a linewidth: a start within a
+    linewidth of that comb can then lie in another basin than the data's
+    minimum.
+    """
+    e = 1.0 - yobs
+    base = _median(e)
+    for dip in dips:
+        i = int(np.argmin(np.abs(x - dip)))
+        j = max(i - 1, 0) + int(np.argmax(e[max(i - 1, 0):i + 2]))
+        if np.count_nonzero(e[max(j - 1, 0):j + 2] >= 0.5 * (e[j] + base)) < 2:
+            return False
+    return True
+
+
+def _jittered_starts(init: dict, bounds: dict, n_starts: int, spread: dict) -> list[dict]:
+    # deterministic jitter; data-order independent by construction. Each
+    # parameter moves by up to a quarter of a width: twice its init value
+    # (at least 1), or its spread from default_init where narrower, or the
+    # box where narrower still. The spread keeps measured fsr and nu0 within
+    # a linewidth of the measured comb, out of its alias basins, which the
+    # default width alone (+-73 MHz on a 147 MHz FSR) does not. An overshoot
     # is reflected back off its bound, never clipped onto it: a start on
     # C = 0 is stationary for the box problem when gamma_perp is free. The
     # jitter is at most a quarter of the box, so the reflection stays inside.
@@ -352,7 +400,7 @@ def _jittered_starts(init: dict, bounds: dict, n_starts: int) -> list[dict]:
         for name in names:
             lo, hi = bounds[name]
             v = init[name]
-            width = 2.0 * max(abs(v), 1.0)
+            width = min(2.0 * max(abs(v), 1.0), spread.get(name, np.inf))
             if np.isfinite(lo) and np.isfinite(hi):
                 width = min(hi - lo, width)
             v = v + rng.uniform(-0.25, 0.25) * width
@@ -557,10 +605,10 @@ def fit(data: Dataset, spec: FitSpec) -> FitResult:
     lo = np.array([bounds[n][0] for n in names])
     hi = np.array([bounds[n][1] for n in names])
     problem = _Residuals(spec, data, full, hi)
-    init = default_init(data, spec)
+    init, spread = default_init(data, spec)
 
     best, agreeing = None, 0
-    for run, start in enumerate(_jittered_starts(init, bounds, N_STARTS), 1):
+    for run, start in enumerate(_jittered_starts(init, bounds, N_STARTS, spread), 1):
         res = least_squares(problem, np.array([start[n] for n in names]), lo, hi)
         # an end point where the cost does not depend on some parameter (on
         # C = 0, gamma_perp) is reached by every start that runs onto that

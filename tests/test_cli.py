@@ -188,9 +188,19 @@ def test_empty_cavity_synthesis(runner, tmp_path, monkeypatch):
     der = payload["derived"]
     assert der["finesse"] == pytest.approx(34.1, abs=1.0)
     assert der["fsr_mhz"] == pytest.approx(148.0, abs=1.0)
-    assert fitting.AGREEING_STARTS <= payload["n_starts"] <= fitting.N_STARTS
+    assert payload["n_starts"] == fitting.AGREEING_STARTS
     assert payload["n_eval"] >= payload["n_starts"]
     assert (tmp_path / "ec_data.csv").exists()
+
+
+def test_empty_cavity_refused_fit_writes_nothing(runner, tmp_path, monkeypatch):
+    # the fit refuses 5 points for 4 free parameters before the synthesized
+    # data is written, so no CSV is left without its manifest
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["empty-cavity", "--points", "5"])
+    assert result.exit_code == 2, result.output
+    assert "need >= 8 points" in result.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_empty_cavity_rejects_conflicting_inputs(runner, tmp_path, monkeypatch):
@@ -275,6 +285,18 @@ def test_lock_step_cap_exits_2_before_allocating(runner, tmp_path, monkeypatch, 
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"more than MAX_STEPS={thermal.MAX_STEPS}" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["spectrum", "saturation", "empty-cavity"])
+def test_grid_point_cap_exits_2_before_allocating(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "np", _NoAllocation())
+    points = cli.MAX_POINTS + 1
+    result = runner.invoke(main, [command, "--points", str(points)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{points} points is more than MAX_POINTS={cli.MAX_POINTS}" in result.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_lock_hold_without_absorption_exits_2(runner, tmp_path, monkeypatch):

@@ -216,7 +216,7 @@ def test_generate_synthetic_noise_is_seeded(weak_spectrum_grid, spectrum_spec):
 def test_default_init_uses_splitting(weak_spectrum_grid, spectrum_spec):
     truth = {"cooperativity": 2.5, "gamma_perp_mhz": 4.0}
     data = fitting.generate_synthetic(spectrum_spec, weak_spectrum_grid, truth)
-    init = fitting.default_init(data, spectrum_spec)
+    init, _ = fitting.default_init(data, spectrum_spec)
     assert init["cooperativity"] == pytest.approx(2.5, rel=0.4)
 
 
@@ -614,7 +614,7 @@ def _fit_cost(data, spec):
 ])
 def test_jittered_starts_never_begin_on_a_bound(init, bounds):
     # an overshoot is reflected off its bound, not clipped onto it
-    starts = fitting._jittered_starts(init, bounds, 64)
+    starts = fitting._jittered_starts(init, bounds, 64, {})
     assert starts[0] == init
     for start in starts[1:]:
         for name, (lo, hi) in bounds.items():
@@ -638,24 +638,92 @@ def test_n_starts_counts_the_starts_run(monkeypatch, weak_spectrum_grid, spectru
     assert all(_tied(c, min(costs)) for c in costs)
 
 
+RING_SPEC = FitSpec(model="empty_ring",
+                    free=("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz"))
+RING_TRUTH = {"finesse": 34.0, "fsr_mhz": 148.0, "dip_transmission": 0.32, "nu0_mhz": 0.4}
+
+
 def test_ring_fit_stops_early_on_its_best_minimum(monkeypatch):
-    # at the empty-cavity command's default span and points, some starts end
-    # in alias minima of the comb, far above the best cost; the fit stops
-    # before N_STARTS and returns what running all of them returns
-    spec = FitSpec(model="empty_ring", free=("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz"))
-    truth = {"finesse": 34.0, "fsr_mhz": 148.0, "dip_transmission": 0.32, "nu0_mhz": 0.4}
-    data = fitting.generate_synthetic(spec, np.linspace(-170.0, 170.0, 3001), truth,
+    # at the empty-cavity command's default span and points, fsr and nu0 are
+    # jittered within a linewidth of the measured comb, so every start ends
+    # on the best cost and the fit stops after AGREEING_STARTS; it returns
+    # what running all of them returns
+    data = fitting.generate_synthetic(RING_SPEC, np.linspace(-170.0, 170.0, 3001), RING_TRUTH,
                                       noise_sigma=0.01, seed=0)
     costs = _recorded_costs(monkeypatch)
-    adaptive, adaptive_cost = _fit_cost(data, spec)
-    assert adaptive.n_starts == len(costs) < fitting.N_STARTS
-    assert sum(c > 2.0 * min(costs) for c in costs) >= 2
+    adaptive, adaptive_cost = _fit_cost(data, RING_SPEC)
+    assert adaptive.n_starts == len(costs) == fitting.AGREEING_STARTS
+    assert all(_tied(c, min(costs)) for c in costs)
 
     monkeypatch.setattr(fitting, "AGREEING_STARTS", fitting.N_STARTS + 1)
-    every, every_cost = _fit_cost(data, spec)
+    every, every_cost = _fit_cost(data, RING_SPEC)
     assert every.n_starts == fitting.N_STARTS
     assert _tied(adaptive_cost, every_cost)
     assert adaptive.estimates == pytest.approx(every.estimates, rel=1e-9)
+
+
+def _wide_jittered_starts(init, bounds, n_starts, spread):
+    """_jittered_starts without the measured-comb spread, which it ignores."""
+    rng = np.random.default_rng(0)
+    starts = [dict(init)]
+    names = sorted(init)
+    for _ in range(n_starts - 1):
+        s = {}
+        for name in names:
+            lo, hi = bounds[name]
+            v = init[name]
+            width = 2.0 * max(abs(v), 1.0)
+            if np.isfinite(lo) and np.isfinite(hi):
+                width = min(hi - lo, width)
+            v = v + rng.uniform(-0.25, 0.25) * width
+            s[name] = float(lo + (lo - v) if v < lo else hi - (v - hi) if v > hi else v)
+        starts.append(s)
+    return starts
+
+
+def _resolved_comb(seed):
+    """Seeded ring data over 2-4 FSRs with 2-10 samples per FWHM."""
+    rng = np.random.default_rng([seed, 14])
+    finesse, fsr = rng.uniform(10.0, 150.0), rng.uniform(60.0, 300.0)
+    span = rng.uniform(2.0, 4.0) * fsr
+    points = int(span / (rng.uniform(0.1, 0.5) * fsr / finesse)) + 1
+    truth = {"finesse": finesse, "fsr_mhz": fsr, "dip_transmission": rng.uniform(0.05, 0.8),
+             "nu0_mhz": rng.uniform(-0.15, 0.15) * fsr}
+    return fitting.generate_synthetic(RING_SPEC, np.linspace(-span / 2, span / 2, points), truth,
+                                      noise_sigma=rng.uniform(0.002, 0.02), seed=seed)
+
+
+def test_measured_comb_spread_leaves_resolved_ring_fits_bit_identical(monkeypatch):
+    # the spread only saves starts: on resolved combs the fit returns what
+    # the wide jitter of every parameter returns, bit for bit
+    data = [_resolved_comb(seed) for seed in range(10)]
+    for d in data:
+        assert set(fitting.default_init(d, RING_SPEC)[1]) == {"fsr_mhz", "nu0_mhz"}
+    narrow = [_fit_cost(d, RING_SPEC)[0] for d in data]
+    monkeypatch.setattr(fitting, "_jittered_starts", _wide_jittered_starts)
+    wide = [_fit_cost(d, RING_SPEC)[0] for d in data]
+    for a, b in zip(narrow, wide):
+        assert a.estimates == b.estimates
+        assert a.covariance_proxy == b.covariance_proxy
+        assert a.residual_rms == b.residual_rms
+    assert sum(r.n_eval for r in narrow) < sum(r.n_eval for r in wide)
+
+
+@pytest.mark.parametrize("x, init, spread", [
+    # resolved comb: both measured values get the linewidth at the guess
+    (np.linspace(-170.0, 170.0, 3001), {}, {"fsr_mhz", "nu0_mhz"}),
+    # an init override is not measured, and keeps its wide jitter
+    (np.linspace(-170.0, 170.0, 3001), {"fsr_mhz": 150.0}, {"nu0_mhz"}),
+    # one dip measures no FSR
+    (np.linspace(-100.0, 100.0, 2001), {}, set()),
+    # a grid step of 1.3 FWHM: each dip has one sample past half its depth
+    (np.linspace(-170.0, 170.0, 61), {}, set()),
+])
+def test_ring_spread_only_where_the_comb_was_measured(x, init, spread):
+    spec = dataclasses.replace(RING_SPEC, init=init)
+    data = fitting.generate_synthetic(spec, x, RING_TRUTH, noise_sigma=0.01, seed=0)
+    guess, got = fitting.default_init(data, spec)
+    assert got == dict.fromkeys(spread, guess["fsr_mhz"] / guess["finesse"])
 
 
 def test_zero_cooperativity_spectra_reach_the_all_starts_cost(monkeypatch):
