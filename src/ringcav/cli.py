@@ -5,6 +5,13 @@ that dict, and writes each output next to a manifest recording the resolved
 dict. ``rerun MANIFEST`` replays the stored dict through the same function,
 so outputs regenerate bit-identically (only the manifest timestamp moves).
 
+The resolved dict holds each option under its click parameter name, except
+those a command folds into one entry: the parameter document and its source
+(``doc`` and ``inputs``), the fit specification read from ``--fitspec``
+(``fitspec``) and ``empty-cavity``'s synthesis truth (``truth``). So renaming
+a click parameter changes the manifest format, and ``rerun`` of a manifest
+written before the rename fails.
+
 Exit codes: 2 invalid input or configuration, 3 solver failure, 4 fit did
 not converge, 5 degenerate fit (suppress with --allow-degenerate), 6 lock
 lost. Each is the ``exit_code`` of the error's class (see errors.py); one
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import math
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -88,15 +95,14 @@ def _check_resolved(command: str, resolved: dict) -> None:
         if not all(_json_fits(click.FLOAT, v) for v in truth.values()):
             raise ValueError(f"manifest 'truth' must map parameters to numbers, got {truth!r}")
     for param in main.commands[command].params:
-        key = "data" if param.name == "data_path" else param.name
-        if key not in resolved:
+        if param.name not in resolved:
             continue
-        value = resolved[key]
+        value = resolved[param.name]
         if value is None and param.default is None and not param.required:
             continue
         values = value if param.nargs == -1 else [value]
         if not isinstance(values, list) or not all(_json_fits(param.type, v) for v in values):
-            raise ValueError(f"manifest value {key!r} does not fit option "
+            raise ValueError(f"manifest value {param.name!r} does not fit option "
                              f"{param.opts[0]} ({param.type.name}): {value!r}")
 
 
@@ -119,10 +125,10 @@ def _check_finite(resolved: dict) -> None:
 MAX_POINTS = 10 ** 6
 
 
-def _check_points(points: int) -> None:
-    """Refuse an empty grid, or one of more than MAX_POINTS, before it exists."""
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points!r}")
+def _check_points(points: int, fewest: int = 1) -> None:
+    """Refuse a grid of fewer than fewest points, or of more than MAX_POINTS, before it exists."""
+    if points < fewest:
+        raise ValueError(f"points must be >= {fewest}, got {points!r}")
     if points > MAX_POINTS:
         raise ValueError(f"{points} points is more than MAX_POINTS={MAX_POINTS}")
 
@@ -140,11 +146,12 @@ def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
 
 
 def _load_doc(params_path, overrides: dict) -> dict:
+    """The merged parameter document and the file it came from, as ``doc`` and ``inputs``."""
     doc = io.read_json(params_path) if params_path else {}
     if not isinstance(doc, dict):
         raise ValueError("parameter file must hold a JSON object")
-    doc = merge_document(NOMINAL, doc)
-    return merge_document(doc, overrides)
+    doc = merge_document(merge_document(NOMINAL, doc), overrides)
+    return {"doc": doc, "inputs": [params_path] if params_path else []}
 
 
 def _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y) -> dict:
@@ -192,7 +199,8 @@ def _run_spectrum(r: dict) -> list:
     cavity, ensemble, drive = params_from_dict(r["doc"])
     if r["noise"] < 0:
         raise ValueError(f"noise must be >= 0, got {r['noise']!r}")
-    _check_points(r["points"])
+    # a spectrum's detuning grid must be strictly monotone, so of 2 points or more
+    _check_points(r["points"], fewest=2)
     half = r["span_mhz"] / 2.0
     grid_mhz = np.linspace(r["center_mhz"] - half, r["center_mhz"] + half, r["points"])
     t = ss.spectrum(
@@ -230,24 +238,10 @@ def _run_spectrum(r: dict) -> list:
               help="Additive Gaussian noise sigma on the transmission.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default="spectrum.csv", show_default=True)
-def spectrum(params_path, cooperativity, gamma_perp_mhz, n_sat, power_w, y,
-             span_mhz, center_mhz, points, atom_offset_mhz, branch, noise, seed, output):
+def spectrum(params_path, cooperativity, gamma_perp_mhz, n_sat, power_w, y, **options):
     """Simulate a probe transmission spectrum and write it as CSV."""
     overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y)
-    doc = _load_doc(params_path, overrides)
-    resolved = {
-        "doc": doc,
-        "span_mhz": span_mhz,
-        "center_mhz": center_mhz,
-        "points": points,
-        "atom_offset_mhz": atom_offset_mhz,
-        "branch": branch,
-        "noise": noise,
-        "seed": seed,
-        "output": output,
-        "inputs": [params_path] if params_path else [],
-    }
-    _execute("spectrum", resolved)
+    _execute("spectrum", {**_load_doc(params_path, overrides), **options})
 
 
 # -------------------------------------------------------------- saturation
@@ -276,20 +270,10 @@ def _run_saturation(r: dict) -> list:
 @click.option("--pmax-w", type=float, default=1e-8, show_default=True)
 @click.option("--points", type=int, default=41, show_default=True)
 @click.option("--output", type=click.Path(), default="saturation.csv", show_default=True)
-def saturation(params_path, cooperativity, gamma_perp_mhz, n_sat, pmin_w,
-               pmax_w, points, output):
+def saturation(params_path, cooperativity, gamma_perp_mhz, n_sat, **options):
     """Simulate on-resonance transmission vs probe power (log-spaced grid)."""
     overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat, None, None)
-    doc = _load_doc(params_path, overrides)
-    resolved = {
-        "doc": doc,
-        "pmin_w": pmin_w,
-        "pmax_w": pmax_w,
-        "points": points,
-        "output": output,
-        "inputs": [params_path] if params_path else [],
-    }
-    _execute("saturation", resolved)
+    _execute("saturation", {**_load_doc(params_path, overrides), **options})
 
 
 # --------------------------------------------------------------------- fit
@@ -297,19 +281,12 @@ def saturation(params_path, cooperativity, gamma_perp_mhz, n_sat, pmin_w,
 def _fitspec_from_doc(doc: dict) -> fitting.FitSpec:
     if not isinstance(doc, dict):
         raise ValueError(f"fitspec must hold a JSON object, got {doc!r}")
-    allowed = {"model", "free", "fixed", "bounds", "init"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {f.name for f in fields(fitting.FitSpec)}
     if unknown:
         raise ValueError(f"unknown fitspec keys: {sorted(unknown)}")
     if "model" not in doc or "free" not in doc:
         raise ValueError("fitspec must name 'model' and 'free'")
-    return fitting.FitSpec(
-        model=doc["model"],
-        free=doc["free"],
-        fixed=doc.get("fixed", {}),
-        bounds=doc.get("bounds", {}),
-        init=doc.get("init", {}),
-    )
+    return fitting.FitSpec(**doc)
 
 
 def _fit_payload(result: fitting.FitResult, degenerate: list) -> dict:
@@ -351,22 +328,16 @@ def _run_fit(r: dict) -> list:
 
 
 @main.command()
-@click.option("--data", "data_path", type=click.Path(), required=True,
+@click.option("--data", type=click.Path(), required=True,
               help="CSV with x in the first column, observation in the second.")
 @click.option("--fitspec", "fitspec_path", type=click.Path(), required=True,
               help="JSON with model, free, and optional fixed/bounds/init.")
 @click.option("--allow-degenerate", is_flag=True, default=False,
               help="Report an unconstrained fit instead of failing with code 5.")
 @click.option("--output", type=click.Path(), default="fit.json", show_default=True)
-def fit(data_path, fitspec_path, allow_degenerate, output):
+def fit(fitspec_path, **options):
     """Fit a registered model to CSV data; writes estimates and residuals."""
-    resolved = {
-        "data": data_path,
-        "fitspec": io.read_json(fitspec_path),
-        "allow_degenerate": allow_degenerate,
-        "output": output,
-    }
-    _execute("fit", resolved)
+    _execute("fit", {"fitspec": io.read_json(fitspec_path), **options})
 
 
 # ------------------------------------------------------------ empty-cavity
@@ -422,7 +393,7 @@ def _run_empty_cavity(r: dict) -> list:
 
 
 @main.command("empty-cavity")
-@click.option("--data", "data_path", type=click.Path(), default=None,
+@click.option("--data", type=click.Path(), default=None,
               help="Measured bare-cavity spectrum CSV; omit to synthesize one.")
 @click.option("--finesse", type=float, default=None,
               help="Synthesis truth; defaults derive from the reference rates.")
@@ -436,11 +407,10 @@ def _run_empty_cavity(r: dict) -> list:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default="empty_cavity.json",
               show_default=True)
-def empty_cavity(data_path, finesse, fsr_mhz, dip_transmission, nu0_mhz,
-                 span_mhz, points, noise, seed, output):
+def empty_cavity(finesse, fsr_mhz, dip_transmission, nu0_mhz, **options):
     """Fit the bare ring lineshape and derive decay rates from it."""
     truth = None
-    if data_path is None:
+    if options["data"] is None:
         cavity, _, _ = params_from_dict({})
         model = ring.ring_from_rates(cavity)
         truth = {
@@ -452,16 +422,7 @@ def empty_cavity(data_path, finesse, fsr_mhz, dip_transmission, nu0_mhz,
         }
     elif any(v is not None for v in (finesse, fsr_mhz, dip_transmission)):
         raise ValueError("synthesis truth options conflict with --data")
-    resolved = {
-        "data": data_path,
-        "truth": truth,
-        "span_mhz": span_mhz,
-        "points": points,
-        "noise": noise,
-        "seed": seed,
-        "output": output,
-    }
-    _execute("empty-cavity", resolved)
+    _execute("empty-cavity", {"truth": truth, **options})
 
 
 # -------------------------------------------------------------------- lock
@@ -553,29 +514,9 @@ def _thermal_option(key: str, **kwargs):
 @click.option("--span-mhz", type=float, default=None,
               help="Scan span; default 60 linewidths.")
 @click.option("--output", type=click.Path(), default="lock.csv", show_default=True)
-def lock(mode, params_path, duration_s, tau_th_s, shift_per_watt,
-         absorption_fraction, heater_power_w, gain_i, setpoint, dt_s,
-         step_linewidths, step_at_s, scan_rate_hz_per_s, span_mhz, output):
+def lock(params_path, **options):
     """Simulate thermal pulling: closed-loop holds, steps, or open scans."""
-    resolved = {
-        "mode": mode,
-        "doc": _load_doc(params_path, {}),
-        "duration_s": duration_s,
-        "tau_th_s": tau_th_s,
-        "shift_per_watt": shift_per_watt,
-        "absorption_fraction": absorption_fraction,
-        "heater_power_w": heater_power_w,
-        "gain_i": gain_i,
-        "setpoint": setpoint,
-        "dt_s": dt_s,
-        "step_linewidths": step_linewidths,
-        "step_at_s": step_at_s,
-        "scan_rate_hz_per_s": scan_rate_hz_per_s,
-        "span_mhz": span_mhz,
-        "output": output,
-        "inputs": [params_path] if params_path else [],
-    }
-    _execute("lock", resolved)
+    _execute("lock", {**_load_doc(params_path, {}), **options})
 
 
 # ------------------------------------------------------------------ report
@@ -653,12 +594,11 @@ def _run_report(r: dict) -> list:
 @main.command()
 @click.argument("manifests", nargs=-1, type=click.Path())
 @click.option("--output-dir", type=click.Path(), default="report", show_default=True)
-def report(manifests, output_dir):
+def report(manifests, **options):
     """Summarize prior runs from their manifests and bundle the outputs."""
     if not manifests:
         raise ValueError("give at least one manifest")
-    resolved = {"manifests": list(manifests), "output_dir": output_dir}
-    _execute("report", resolved)
+    _execute("report", {"manifests": list(manifests), **options})
 
 
 # ------------------------------------------------------------------- rerun

@@ -368,6 +368,7 @@ def test_non_finite_fitspec_values_exit_2(runner, tmp_path, monkeypatch, slot, v
     (["spectrum", "--noise", "-0.1"], "noise must be >= 0"),
     (["empty-cavity", "--noise", "-0.1"], "noise must be >= 0"),
     (["saturation", "--points", "0"], "points must be >= 1"),
+    (["spectrum", "--points", "1"], "points must be >= 2"),
 ])
 def test_negative_noise_and_empty_power_grid_exit_2(runner, tmp_path, monkeypatch, args,
                                                     message):
@@ -435,6 +436,40 @@ def test_rerun_fit_reproduces_json(runner, tmp_path, monkeypatch):
                            catch_exceptions=False)
     assert result.exit_code == 0
     assert (tmp_path / "fit.json").read_bytes() == before
+
+
+# the resolved keys each command recorded before its options were read from
+# click's parsed parameters; rerun of an older manifest needs the same names
+_RESOLVED_KEYS = {
+    "spectrum": {"atom_offset_mhz", "branch", "center_mhz", "doc", "inputs", "noise",
+                 "output", "points", "seed", "span_mhz"},
+    "saturation": {"doc", "inputs", "output", "pmax_w", "pmin_w", "points"},
+    "fit": {"allow_degenerate", "data", "fitspec", "output"},
+    "empty-cavity": {"data", "noise", "output", "points", "seed", "span_mhz", "truth"},
+    "lock": {"absorption_fraction", "doc", "dt_s", "duration_s", "gain_i", "heater_power_w",
+             "inputs", "mode", "output", "scan_rate_hz_per_s", "setpoint", "shift_per_watt",
+             "span_mhz", "step_at_s", "step_linewidths", "tau_th_s"},
+}
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--points", "41", "--output", "out.csv"],
+    ["saturation", "--points", "5", "--output", "out.csv"],
+    ["fit", "--data", "d.csv", "--fitspec", "fs.json", "--output", "out.json"],
+    ["empty-cavity", "--points", "1201", "--output", "out.json"],
+    ["lock", "--duration-s", "0.05", "--output", "out.csv"],
+], ids=lambda args: args[0])
+def test_manifest_records_the_same_resolved_keys(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "fit":
+        runner.invoke(main, ["spectrum", "--points", "201", "--noise", "0.01",
+                             "--output", "d.csv"], catch_exceptions=False)
+        (tmp_path / "fs.json").write_text(json.dumps(
+            {"model": "atomic_spectrum", "free": ["cooperativity"]}))
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    manifest = io.read_json(tmp_path / (args[-1] + ".manifest.json"))
+    assert set(manifest["resolved"]) == _RESOLVED_KEYS[args[0]]
 
 
 # ------------------------------------------------------- exit-code contract
