@@ -42,7 +42,7 @@ import numpy as np
 from . import steady_state as ss
 from .errors import DegenerateFit, ModelEvaluationFailed, NotConverged, RingcavError
 from .params import (NOMINAL, CavityParams, EnsembleParams, cavity_from_dict, drive_from_dict,
-                     ensemble_from_dict, is_number)
+                     ensemble_from_dict, is_finite, is_number)
 from .peaks import _median, find_transmission_dips, measure_splitting
 from .ring import _lineshape_partials, _ring_transmission, ring_from_lineshape, ring_transmission
 from .units import TWO_PI, mhz_to_rad
@@ -109,6 +109,8 @@ class FitSpec:
             for name, value in getattr(self, label).items():
                 if not is_number(value):
                     raise ValueError(f"{label} value for {name!r} must be a number, got {value!r}")
+                if not is_finite(value):
+                    raise ValueError(f"{label} value for {name!r} must be finite, got {value!r}")
         for name, pair in self.bounds.items():
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_number, pair))):
                 raise ValueError(f"bounds for {name!r} must be a pair of numbers, got {pair!r}")

@@ -148,6 +148,11 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """False for NaN, infinities and an int beyond the float range, which would overflow."""
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
 def _reject_unknown(section: str, data: dict, allowed: set[str]):
     unknown = set(data) - allowed
     if unknown:
@@ -159,8 +164,7 @@ def _check_section(section: str, data: dict, allowed: set[str]):
     for key, value in data.items():
         if not is_number(value):
             raise ValueError(f"{section} key {key!r} must be a number, got {value!r}")
-        # an int beyond the float range would overflow where it is first used
-        if not -sys.float_info.max <= value <= sys.float_info.max:
+        if not is_finite(value):
             raise ValueError(f"{section} key {key!r} must be finite, got {value!r}")
 
 

@@ -143,9 +143,9 @@ def find_transmission_dips(x, transmission):
 def measure_splitting(x, transmission):
     """Separation of the two resonance dips of a split spectrum.
 
-    Returns |x2 - x1| for the two most prominent dips. Raises ValueError if
-    the spectrum does not show exactly two dips, since a splitting is then
-    not defined.
+    Returns |x2 - x1| when find_transmission_dips finds exactly two dips;
+    raises ValueError for any other count, since a splitting is then not
+    defined.
     """
     dips = find_transmission_dips(x, transmission)
     if len(dips) != 2:

@@ -42,9 +42,12 @@ RESIDUAL_TOL = 1e-9
 class BranchPolicy:
     """Rule for choosing among multiple steady-state intensity roots.
 
-    mode is one of "lowest", "highest", "follow_sweep". follow_sweep keeps
-    the branch continuous along a monotone sweep and therefore only makes
-    sense inside spectrum(); direction gives the traversal order of the grid.
+    mode is one of "lowest", "highest", "follow_sweep"; direction ("up" or
+    "down") orders the rows for follow_sweep. follow_sweep is branch
+    continuation: a run of three-root rows enters on the outer root nearest
+    the intensity of the row before the run (the lower on a tie, the lowest
+    at the first row) and keeps that branch to the run's end. Every mode
+    reports only roots with G'(u) > 0, the stable branches.
     """
 
     mode: str = "lowest"
@@ -236,7 +239,7 @@ def _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio, partia
 
 
 def _steady_transmission(y2, delta_c, delta_a, cooperativity, kappa_ratio,
-                         policy: BranchPolicy = LOWEST, sweep=False, partials=False):
+                         policy: BranchPolicy = LOWEST, partials=False):
     """Transmission on the branch policy picks, per broadcast parameter row.
 
     A scalar y2 == 0 is the weak limit: u = 0 is the only root and no cubic
@@ -249,7 +252,7 @@ def _steady_transmission(y2, delta_c, delta_a, cooperativity, kappa_ratio,
         u = np.zeros(np.broadcast(delta_c, delta_a).shape)
     else:
         roots, counts = _roots_grid(y2, delta_c, delta_a, cooperativity)
-        u = select_branch(roots, counts, policy, sweep)
+        u = select_branch(roots, counts, policy)
     if not partials:
         return _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio)
     t, (t_u, t_dc, t_da, t_c, t_r) = _transmission_from_u(
@@ -271,39 +274,27 @@ def _steady_transmission(y2, delta_c, delta_a, cooperativity, kappa_ratio,
     )
 
 
-def select_branch(roots, counts, policy: BranchPolicy, sweep: bool = False):
+def select_branch(roots, counts, policy: BranchPolicy):
     """Intensity u on the branch policy picks, for each row of _roots_grid's output.
 
-    follow_sweep needs rows that form a sweep (sweep=True, as spectrum()
-    passes); anywhere else it raises ValueError.
+    follow_sweep reads the rows as a sweep in grid order. Counts are 1 or 3,
+    so the runs of three-root rows start where counts == 3 steps up; each
+    run takes one column: 2 (highest) where that root is strictly nearer the
+    one root of the row before the run, else 0 (lowest).
     """
     if policy.mode == "lowest":
         return roots[:, 0]
     if policy.mode == "highest":
         return np.take_along_axis(roots, counts[:, None] - 1, axis=1)[:, 0]
-    if not sweep:
-        raise ValueError("follow_sweep requires a sweep; use spectrum()")
-    return _follow(roots, counts, policy.direction)
-
-
-def _follow(roots, counts, direction):
-    """Walk the grid in sweep order, each point taking the root nearest the last.
-
-    A point with one root takes it whatever came before, so only points with
-    several roots are walked; the sweep's first point starts from its lowest
-    root.
-    """
-    u = roots[:, 0].copy()
-    walk = np.flatnonzero(counts > 1)
-    back = -1 if direction == "up" else 1  # grid offset of the point visited before
-    if direction == "down":
-        walk = walk[::-1]
-    for i, row, c in zip(walk.tolist(), roots[walk].tolist(), counts[walk].tolist()):
-        avail = row[:c]
-        j = i + back
-        prev = float(u[j]) if 0 <= j < u.size else avail[0]
-        u[i] = min(avail, key=lambda v: abs(v - prev))
-    return u
+    if policy.direction == "down":
+        return select_branch(roots[::-1], counts[::-1], BranchPolicy("follow_sweep"))[::-1]
+    step = np.diff((counts == 3).astype(int), prepend=0) == 1
+    first = np.flatnonzero(step)
+    before = roots[first - 1, 0]
+    high = (first > 0) & (np.abs(roots[first, 2] - before) < np.abs(roots[first, 0] - before))
+    run = np.cumsum(step) - 1  # -1 before the first run: the appended False
+    column = np.where(counts == 3, 2 * np.append(high, False)[run], 0)
+    return np.take_along_axis(roots, column[:, None], axis=1)[:, 0]
 
 
 def weak_transmission(delta_c, delta_a, cooperativity, kappa_ratio):
@@ -378,8 +369,10 @@ def spectrum(
         Atomic transition minus cavity resonance, in Hz; 0 aligns them
         (delta_atom = delta_cavity along the scan).
     policy : BranchPolicy
-        Branch selection; "follow_sweep" walks the grid in policy.direction
-        and keeps the intensity branch continuous.
+        Branch selection. "follow_sweep" orders the grid by policy.direction
+        and continues the branch each bistable run enters on: the outer root
+        nearest the intensity before the run. Every policy reports only
+        stable roots, G'(u) > 0.
 
     Returns
     -------
@@ -396,6 +389,6 @@ def spectrum(
     y2 = drive_y2(drive, cavity, ensemble.n_sat)
     try:
         return _steady_transmission(y2, delta_c, delta_a, ensemble.cooperativity,
-                                    cavity.kappa_ratio, policy, sweep=True)
+                                    cavity.kappa_ratio, policy)
     except NumericalInstability as exc:
         raise NumericalInstability(f"{exc} (in spectrum sweep)") from exc

@@ -58,6 +58,15 @@ def test_fitspec_validation():
     with pytest.raises(ValueError):
         FitSpec(model="atomic_spectrum", free=("cooperativity",),
                 init={"cooperativity": 99.0}, bounds={"cooperativity": (0.0, 5.0)})
+    # a non-finite fixed or init value is refused by name, an int past the
+    # float range too; infinite bounds mean unbounded and stay allowed
+    for model, label, name, value in (("atomic_spectrum", "fixed", "n_sat", np.inf),
+                                      ("empty_ring", "init", "nu0_mhz", np.nan),
+                                      ("empty_ring", "init", "nu0_mhz", -np.inf),
+                                      ("empty_ring", "fixed", "nu0_mhz", 10 ** 400)):
+        with pytest.raises(ValueError, match=f"{label} value for '{name}' must be finite"):
+            FitSpec(model=model, free=("scale",), **{label: {name: value}})
+    FitSpec(model="empty_ring", free=("nu0_mhz",), bounds={"nu0_mhz": (-np.inf, np.inf)})
 
 
 def test_objective_zero_at_truth(weak_spectrum_grid, spectrum_spec):

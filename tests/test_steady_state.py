@@ -191,15 +191,6 @@ def test_branch_policy_selects_extremes():
     assert lo == np.min(roots[0]) and hi == np.max(roots[0])
 
 
-def test_follow_sweep_requires_spectrum():
-    roots, counts = ss._roots_grid(1.0, 0.0, 0.0, 1.0)
-    follow = ss.BranchPolicy("follow_sweep", "up")
-    with pytest.raises(ValueError, match="follow_sweep requires a sweep"):
-        ss.select_branch(roots, counts, follow)
-    with pytest.raises(ValueError, match="follow_sweep requires a sweep"):
-        ss._steady_transmission(1.0, 0.0, 0.0, 1.0, 0.2, follow)
-
-
 def test_follow_sweep_hysteresis(cavity, ensemble):
     # strong on-resonance drive over a bistable ensemble: up and down sweeps
     # disagree somewhere inside the bistable window
@@ -214,16 +205,25 @@ def test_follow_sweep_hysteresis(cavity, ensemble):
 
 
 def _follow_per_point(roots, counts, direction):
-    """The follow rule walked over every grid point: nearest root to the last."""
+    """Branch continuation visited point by point in sweep order.
+
+    A one-root point takes its root. A three-root point after a one-root
+    point enters the highest branch if that root is strictly nearer the last
+    intensity, else the lowest (also at the sweep's first point); the points
+    after it with three roots stay on that branch.
+    """
     n = len(counts)
     order = range(n) if direction == "up" else range(n - 1, -1, -1)
     u = np.empty(n)
-    prev = None
+    prev = branch = None
     for i in order:
         avail = roots[i, : counts[i]]
-        if prev is None:
-            prev = avail[0]
-        prev = avail[np.argmin(np.abs(avail - prev))]
+        if len(avail) == 1:
+            branch = None
+        elif branch is None:
+            high = prev is not None and abs(avail[-1] - prev) < abs(avail[0] - prev)
+            branch = -1 if high else 0
+        prev = avail[0 if branch is None else branch]
         u[i] = prev
     return u
 
@@ -246,23 +246,61 @@ def test_follow_walk_matches_per_point_walk(cavity, ensemble, c, power_nw, offse
     assume(counts.max() > 1)  # bistable somewhere on the grid
     policy = ss.BranchPolicy("follow_sweep", direction)
     want = _follow_per_point(roots, counts, direction)
-    assert np.array_equal(ss.select_branch(roots, counts, policy, sweep=True), want)
+    assert np.array_equal(ss.select_branch(roots, counts, policy), want)
     t = ss.spectrum(grid, cavity, ens, drv, atom_offset_hz=offset_hz, policy=policy)
     assert np.array_equal(t, ss._transmission_from_u(want, dc, da, c, cavity.kappa_ratio))
 
 
 def test_follow_walk_at_the_grid_ends():
-    # bistable first and last points: each sweep starts from its own end's lowest
-    # root; at equal distances (2.75 and 3.75 from 3.25) the lower root wins
+    # bistable first and last points: each sweep starts on its own end's lowest
+    # root and enters the other run on the outer root nearest 2.75 (never the
+    # middle one, 1.25 or 1.75, although it is nearer); at equal distances
+    # (1.0 and 3.0 from 2.0) the lower root wins
     nan = np.nan
     roots = np.array([[1.0, 2.75, 3.75], [0.25, 1.25, 3.25], [2.75, nan, nan],
                       [0.5, 1.75, 4.0], [1.5, 2.0, 3.5]])
     counts = np.array([3, 3, 1, 3, 3])
-    want = {"up": [1.0, 1.25, 2.75, 1.75, 1.5], "down": [2.75, 3.25, 2.75, 1.75, 1.5]}
+    want = {"up": [1.0, 0.25, 2.75, 4.0, 3.5], "down": [3.75, 3.25, 2.75, 0.5, 1.5]}
+    tie = np.array([[2.0, nan, nan], [1.0, 2.0, 3.0]]), np.array([1, 3])
     for direction in ("up", "down"):
-        got = ss.select_branch(roots, counts, ss.BranchPolicy("follow_sweep", direction), True)
-        assert np.array_equal(got, want[direction])
+        policy = ss.BranchPolicy("follow_sweep", direction)
+        assert np.array_equal(ss.select_branch(roots, counts, policy), want[direction])
         assert np.array_equal(_follow_per_point(roots, counts, direction), want[direction])
+    assert np.array_equal(ss.select_branch(*tie, ss.BranchPolicy("follow_sweep")), [2.0, 1.0])
+    assert np.array_equal(_follow_per_point(*tie, "up"), [2.0, 1.0])
+
+
+_POLICIES = [ss.LOWEST, ss.HIGHEST, ss.BranchPolicy("follow_sweep", "up"),
+             ss.BranchPolicy("follow_sweep", "down")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.integers(5, 401), c=st.floats(0.0, 10.0),
+       power_w=st.floats(-12.0, np.log10(30e-9)).map(lambda e: 10.0 ** e),
+       offset_mhz=st.floats(-8.0, 8.0), policy=st.sampled_from(_POLICIES))
+# a coarse follow-up sweep that the nearest-root walk put on the middle root
+# at 14 of its 24 bistable points
+@example(points=101, c=6.98, power_w=16.9e-9, offset_mhz=-4.79, policy=_POLICIES[2])
+def test_every_policy_reports_stable_roots(cavity, ensemble, points, c, power_w, offset_mhz,
+                                           policy):
+    from dataclasses import replace
+
+    # at a three-root point the middle root has G'(u) < 0: the unstable branch
+    ens = replace(ensemble, cooperativity=c)
+    drv = DriveParams(input_power=power_w)
+    offset_hz = offset_mhz * 1e6
+    grid = np.linspace(-20e6, 20e6, points)
+    omega = TWO_PI * grid
+    dc, da = omega / cavity.kappa, (omega - TWO_PI * offset_hz) / ens.gamma_perp
+    y2 = ss.drive_y2(drv, cavity, ens.n_sat)
+    roots, counts = ss._roots_grid(np.full_like(grid, y2), dc, da, c)
+    u = ss.select_branch(roots, counts, policy)
+    c3, c2, c1, _ = ss._cubic_coeffs(y2, dc, da, c)
+    slope = (3.0 * c3 * u + 2.0 * c2) * u + c1
+    checked = (counts == 3) & ss._derivative_resolved(u, c3, c2, c1)  # a fold's G' is noise
+    assert np.all(slope[checked] > 0.0)
+    t = ss.spectrum(grid, cavity, ens, drv, atom_offset_hz=offset_hz, policy=policy)
+    assert np.array_equal(t, ss._transmission_from_u(u, dc, da, c, cavity.kappa_ratio))
 
 
 def test_resonant_highest_branch_transmits_no_more_than_lowest(cavity, ensemble):
