@@ -6,11 +6,12 @@ dict. ``rerun MANIFEST`` replays the stored dict through the same function,
 so outputs regenerate bit-identically (only the manifest timestamp moves).
 
 The resolved dict holds each option under its click parameter name, except
-those a command folds into one entry: the parameter document and its source
-(``doc`` and ``inputs``), the fit specification read from ``--fitspec``
-(``fitspec``) and ``empty-cavity``'s synthesis truth (``truth``). So renaming
-a click parameter changes the manifest format, and ``rerun`` of a manifest
-written before the rename fails.
+those a command folds into one entry: the parameter document, with the
+options named after its keys, and its source (``doc`` and ``inputs``), the
+fit specification read from ``--fitspec`` (``fitspec``) and
+``empty-cavity``'s synthesis truth (``truth``). So renaming a click
+parameter changes the manifest format, and ``rerun`` of a manifest written
+before the rename fails.
 
 Exit codes: 2 invalid input or configuration, 3 solver failure, 4 fit did
 not converge, 5 degenerate fit (suppress with --allow-degenerate), 6 lock
@@ -26,12 +27,13 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, fitting, io, ring
 from . import steady_state as ss
 from . import thermal
-from .errors import AmbiguousDrive, DegenerateFit, RingcavError
-from .params import NOMINAL, THERMAL_DEFAULTS, merge_document, params_from_dict
+from .errors import DegenerateFit, RingcavError
+from .params import NOMINAL, SECTION_KEYS, THERMAL_DEFAULTS, merge_document, params_from_dict
 from .peaks import measure_splitting
 from .units import rad_to_mhz
 
@@ -92,8 +94,9 @@ def _check_resolved(command: str, resolved: dict) -> None:
     _check_paths(resolved.get("inputs", []), "inputs")
     if command == "empty-cavity" and resolved.get("data") is None:
         truth = _manifest_object(resolved["truth"], "manifest 'truth'")
-        if not all(_json_fits(click.FLOAT, v) for v in truth.values()):
-            raise ValueError(f"manifest 'truth' must map parameters to numbers, got {truth!r}")
+        if set(truth) != set(_EMPTY_FREE) or not all(_json_fits(click.FLOAT, v) for v in truth.values()):
+            raise ValueError(f"manifest 'truth' must map parameters to numbers, exactly "
+                             f"{list(_EMPTY_FREE)}, got {truth!r}")
     for param in main.commands[command].params:
         if param.name not in resolved:
             continue
@@ -145,30 +148,23 @@ def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
     return [str(p) for p in written]
 
 
-def _load_doc(params_path, overrides: dict) -> dict:
-    """The merged parameter document and the file it came from, as ``doc`` and ``inputs``."""
+def _load_doc(params_path, options: dict) -> dict:
+    """The merged parameter document and the file it came from, as ``doc`` and ``inputs``.
+
+    Pops each option named after a document key from options; one given (not
+    None) overrides the file's value, in the section SECTION_KEYS puts it in.
+    """
+    overrides = {}
+    for section, keys in SECTION_KEYS.items():
+        for key in [key for key in options if key in keys]:
+            value = options.pop(key)
+            if value is not None:
+                overrides.setdefault(section, {})[key] = value
     doc = io.read_json(params_path) if params_path else {}
     if not isinstance(doc, dict):
         raise ValueError("parameter file must hold a JSON object")
     doc = merge_document(merge_document(NOMINAL, doc), overrides)
     return {"doc": doc, "inputs": [params_path] if params_path else []}
-
-
-def _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y) -> dict:
-    """The options given (not None), as a partial parameter document."""
-    if power_w is not None and y is not None:
-        raise AmbiguousDrive("give at most one of --power-w and --y")
-    sections = {
-        "ensemble": {"cooperativity": cooperativity, "gamma_perp_mhz": gamma_perp_mhz,
-                     "n_sat": n_sat},
-        "drive": {"input_power_w": power_w, "y": y},
-    }
-    out = {}
-    for section, values in sections.items():
-        given = {key: value for key, value in values.items() if value is not None}
-        if given:
-            out[section] = given
-    return out
 
 
 class _Main(click.Group):
@@ -225,7 +221,7 @@ def _run_spectrum(r: dict) -> list:
 @click.option("--cooperativity", type=float, default=None)
 @click.option("--gamma-perp-mhz", type=float, default=None)
 @click.option("--n-sat", type=float, default=None)
-@click.option("--power-w", type=float, default=None, help="Probe input power (W).")
+@click.option("--power-w", "input_power_w", type=float, default=None, help="Probe input power (W).")
 @click.option("--y", type=float, default=None, help="Dimensionless drive amplitude.")
 @click.option("--span-mhz", type=float, default=40.0, show_default=True)
 @click.option("--center-mhz", type=float, default=0.0, show_default=True)
@@ -238,10 +234,9 @@ def _run_spectrum(r: dict) -> list:
               help="Additive Gaussian noise sigma on the transmission.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default="spectrum.csv", show_default=True)
-def spectrum(params_path, cooperativity, gamma_perp_mhz, n_sat, power_w, y, **options):
+def spectrum(params_path, **options):
     """Simulate a probe transmission spectrum and write it as CSV."""
-    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat, power_w, y)
-    _execute("spectrum", {**_load_doc(params_path, overrides), **options})
+    _execute("spectrum", {**_load_doc(params_path, options), **options})
 
 
 # -------------------------------------------------------------- saturation
@@ -270,10 +265,9 @@ def _run_saturation(r: dict) -> list:
 @click.option("--pmax-w", type=float, default=1e-8, show_default=True)
 @click.option("--points", type=int, default=41, show_default=True)
 @click.option("--output", type=click.Path(), default="saturation.csv", show_default=True)
-def saturation(params_path, cooperativity, gamma_perp_mhz, n_sat, **options):
+def saturation(params_path, **options):
     """Simulate on-resonance transmission vs probe power (log-spaced grid)."""
-    overrides = _section_overrides(cooperativity, gamma_perp_mhz, n_sat, None, None)
-    _execute("saturation", {**_load_doc(params_path, overrides), **options})
+    _execute("saturation", {**_load_doc(params_path, options), **options})
 
 
 # --------------------------------------------------------------------- fit
@@ -407,21 +401,21 @@ def _run_empty_cavity(r: dict) -> list:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default="empty_cavity.json",
               show_default=True)
-def empty_cavity(finesse, fsr_mhz, dip_transmission, nu0_mhz, **options):
+def empty_cavity(**options):
     """Fit the bare ring lineshape and derive decay rates from it."""
+    # a truth option counts as given when it was set, even to its default
+    source = click.get_current_context().get_parameter_source
+    popped = {name: options.pop(name) for name in _EMPTY_FREE}
+    given = {name: value for name, value in popped.items()
+             if source(name) is not ParameterSource.DEFAULT}
     truth = None
     if options["data"] is None:
         cavity, _, _ = params_from_dict({})
         model = ring.ring_from_rates(cavity)
-        truth = {
-            "finesse": finesse if finesse is not None else model.finesse,
-            "fsr_mhz": fsr_mhz if fsr_mhz is not None else cavity.fsr / 1e6,
-            "dip_transmission": (dip_transmission if dip_transmission is not None
-                                 else model.dip_transmission),
-            "nu0_mhz": nu0_mhz,
-        }
-    elif any(v is not None for v in (finesse, fsr_mhz, dip_transmission)):
-        raise ValueError("synthesis truth options conflict with --data")
+        truth = {"finesse": model.finesse, "fsr_mhz": cavity.fsr / 1e6,
+                 "dip_transmission": model.dip_transmission, "nu0_mhz": 0.0, **given}
+    elif given:
+        raise ValueError(f"synthesis truth options {sorted(given)} conflict with --data")
     _execute("empty-cavity", {"truth": truth, **options})
 
 
@@ -516,7 +510,7 @@ def _thermal_option(key: str, **kwargs):
 @click.option("--output", type=click.Path(), default="lock.csv", show_default=True)
 def lock(params_path, **options):
     """Simulate thermal pulling: closed-loop holds, steps, or open scans."""
-    _execute("lock", {**_load_doc(params_path, {}), **options})
+    _execute("lock", {**_load_doc(params_path, options), **options})
 
 
 # ------------------------------------------------------------------ report

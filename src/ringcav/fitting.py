@@ -24,12 +24,13 @@ and Fukushima, J. Comput. Appl. Math., 2004). Unlike a trust-region
 reflective solver, it can stop exactly on a bound (C = 0, zero input power,
 gamma_perp_mhz = 2.6, n_sat = 1e4, dip_transmission = 0): a parameter on a
 bound that the gradient pushes outward is held there for the next step.
-Each model evaluation returns the values and their jacobian: the cubic
-models differentiate the certified intensity root implicitly, the ring
-model uses the closed-form derivative of its field. A jacobian column that
-comes out non-finite (at a double root, or at dip_transmission = 0 where
-the ring goes as its square root) falls back to a one-sided difference that
-steps into the bounds. Degenerate (flat) parameter directions at the
+Each model evaluation returns the values and their jacobian from one call,
+on one code path: the cubic models differentiate the certified intensity
+root implicitly, the ring model uses the closed-form derivatives of its
+field and of its lineshape mapping; a call with no free parameters skips
+only the derivatives. A jacobian column that comes out non-finite (at a
+double root, or at dip_transmission = 0 where the ring goes as its square
+root) falls back to a one-sided difference that steps into the bounds. Degenerate (flat) parameter directions at the
 optimum are detected from the jacobian SVD and reported by raising
 DegenerateFit.
 """
@@ -44,7 +45,7 @@ from .errors import DegenerateFit, ModelEvaluationFailed, NotConverged, RingcavE
 from .params import (NOMINAL, CavityParams, EnsembleParams, cavity_from_dict, drive_from_dict,
                      ensemble_from_dict, is_finite, is_number)
 from .peaks import _median, find_transmission_dips, measure_splitting
-from .ring import _lineshape_partials, _ring_transmission, ring_from_lineshape, ring_transmission
+from .ring import _ring_transmission, ring_from_lineshape
 from .units import TWO_PI, mhz_to_rad
 
 N_STARTS = 8
@@ -102,6 +103,9 @@ class FitSpec:
         if not (isinstance(self.free, (list, tuple)) and all(isinstance(n, str) for n in self.free)):
             raise ValueError(f"free must be a list of parameter names, got {self.free!r}")
         object.__setattr__(self, "free", tuple(self.free))
+        repeated = sorted({name for name in self.free if self.free.count(name) > 1})
+        if repeated:
+            raise ValueError(f"free names {repeated} more than once")
         for label in ("fixed", "bounds", "init"):
             if not isinstance(getattr(self, label), dict):
                 raise ValueError(f"{label} must map parameter names to values")
@@ -148,15 +152,11 @@ def _cavity_and_ensemble(p):
 def _spectrum_model(x_mhz, p, free=()):
     cavity, ensemble = _cavity_and_ensemble(p)
     drive = drive_from_dict({"input_power_w": p["input_power_w"]})
-    if not free:
-        return p["scale"] * ss.spectrum(x_mhz * 1e6, cavity, ensemble, drive) + p["baseline"], None
     return _cubic_model(p, free, cavity, ensemble, drive.input_power, TWO_PI * (x_mhz * 1e6))
 
 
 def _saturation_model(x_w, p, free=()):
     cavity, ensemble = _cavity_and_ensemble(p)
-    if not free:
-        return p["scale"] * saturation_curve(x_w, cavity, ensemble) + p["baseline"], None
     return _cubic_model(p, free, cavity, ensemble, _positive_powers(x_w), 0.0)
 
 
@@ -167,12 +167,15 @@ def _cubic_model(p, free, cavity, ensemble, power_w, omega):
     to the external parameters through y2 ~ P lambda_p kappa_ex/(kappa^2 n_sat),
     r = kappa_ex/kappa, delta_c = omega/kappa and delta_a = omega/gamma_perp.
     fsr_mhz, and gamma_par_mhz at fixed gamma_perp_mhz, change nothing: their
-    columns are exact zeros.
+    columns are exact zeros. With free empty the partials are not computed.
     """
     delta_c, delta_a = omega / cavity.kappa, omega / ensemble.gamma_perp
     y2 = ss.drive_from_power(power_w, cavity, ensemble.n_sat)
-    t, (t_y2, t_dc, t_da, t_c, t_r) = ss._steady_transmission(
-        y2, delta_c, delta_a, ensemble.cooperativity, cavity.kappa_ratio, partials=True)
+    out = ss._steady_transmission(y2, delta_c, delta_a, ensemble.cooperativity,
+                                  cavity.kappa_ratio, partials=bool(free))
+    if not free:
+        return p["scale"] * out + p["baseline"], None
+    t, (t_y2, t_dc, t_da, t_c, t_r) = out
     per_mhz = mhz_to_rad(1.0)
     y2_t = y2 * t_y2
 
@@ -209,16 +212,12 @@ def _jacobian(columns, free, scale, t):
 
 
 def _ring_model(x_mhz, p, free=()):
-    model = ring_from_lineshape(
-        finesse=p["finesse"],
-        fsr=p["fsr_mhz"] * 1e6,
-        dip_transmission=p["dip_transmission"],
-        detuning_offset=p["nu0_mhz"] * 1e6,
-    )
+    out = ring_from_lineshape(p["finesse"], p["fsr_mhz"] * 1e6, p["dip_transmission"],
+                              p["nu0_mhz"] * 1e6, partials=bool(free))
     if not free:
-        return p["scale"] * ring_transmission(x_mhz * 1e6, model) + p["baseline"], None
+        return p["scale"] * _ring_transmission(x_mhz * 1e6, out) + p["baseline"], None
+    model, (t_f, a_f), (t_d, a_d) = out
     t, (t_t, t_a, t_fsr, t_offset) = _ring_transmission(x_mhz * 1e6, model, partials=True)
-    (t_f, a_f), (t_d, a_d) = _lineshape_partials(p["finesse"], p["dip_transmission"])
     columns = {
         "finesse": lambda: t_t * t_f + t_a * a_f,
         "dip_transmission": lambda: t_t * t_d + t_a * a_d,
@@ -229,6 +228,12 @@ def _ring_model(x_mhz, p, free=()):
 
 
 _NUISANCE_DEFAULTS = {"scale": 1.0, "baseline": 0.0}
+_NUISANCE_BOUNDS = {"scale": (0.1, 10.0), "baseline": (-0.5, 0.5)}
+# shared by the two cubic models; atomic_spectrum adds the input power
+_CUBIC_DEFAULTS = {**NOMINAL["cavity"], **NOMINAL["ensemble"], **_NUISANCE_DEFAULTS}
+_CUBIC_BOUNDS = {"cooperativity": (0.0, 50.0), "gamma_perp_mhz": (2.6, 50.0),
+                 "n_sat": (1e-2, 1e4), "kappa_i_mhz": (1e-3, 1e3), "kappa_ex_mhz": (1e-3, 1e3),
+                 **_NUISANCE_BOUNDS}
 
 
 @dataclass(frozen=True)
@@ -245,12 +250,8 @@ class _Model:
 MODELS = {
     "atomic_spectrum": _Model(
         func=_spectrum_model,
-        defaults={**NOMINAL["cavity"], **NOMINAL["ensemble"],
-                  "input_power_w": NOMINAL["drive"]["input_power_w"], **_NUISANCE_DEFAULTS},
-        bounds={"cooperativity": (0.0, 50.0), "gamma_perp_mhz": (2.6, 50.0),
-                "n_sat": (1e-2, 1e4), "input_power_w": (0.0, 1.0),
-                "kappa_i_mhz": (1e-3, 1e3), "kappa_ex_mhz": (1e-3, 1e3),
-                "scale": (0.1, 10.0), "baseline": (-0.5, 0.5)},
+        defaults={**_CUBIC_DEFAULTS, "input_power_w": NOMINAL["drive"]["input_power_w"]},
+        bounds={**_CUBIC_BOUNDS, "input_power_w": (0.0, 1.0)},
         monotone_x=True,
     ),
     "empty_ring": _Model(
@@ -258,17 +259,13 @@ MODELS = {
         defaults={"finesse": 30.0, "fsr_mhz": 150.0, "dip_transmission": 0.3,
                   "nu0_mhz": 0.0, **_NUISANCE_DEFAULTS},
         bounds={"finesse": (2.0, 1e4), "fsr_mhz": (1.0, 1e5),
-                "dip_transmission": (0.0, 0.999), "nu0_mhz": (-1e5, 1e5),
-                "scale": (0.1, 10.0), "baseline": (-0.5, 0.5)},
+                "dip_transmission": (0.0, 0.999), "nu0_mhz": (-1e5, 1e5), **_NUISANCE_BOUNDS},
         monotone_x=True,
     ),
     "saturation_curve": _Model(
         func=_saturation_model,
-        defaults={**NOMINAL["cavity"], **NOMINAL["ensemble"], **_NUISANCE_DEFAULTS},
-        bounds={"cooperativity": (0.0, 50.0), "gamma_perp_mhz": (2.6, 50.0),
-                "n_sat": (1e-2, 1e4),
-                "kappa_i_mhz": (1e-3, 1e3), "kappa_ex_mhz": (1e-3, 1e3),
-                "scale": (0.1, 10.0), "baseline": (-0.5, 0.5)},
+        defaults=_CUBIC_DEFAULTS,
+        bounds=_CUBIC_BOUNDS,
         monotone_x=False,
     ),
 }

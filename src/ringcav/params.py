@@ -2,7 +2,10 @@
 
 All angular rates are stored in rad/s (see units.py). Constructors ending in
 ``_from_dict`` implement the external JSON schema, which speaks MHz/nm/W and
-rejects unknown keys and values that are not finite numbers.
+rejects unknown keys and values that are not finite numbers. NOMINAL and
+_EXCLUSIVE_GROUPS declare that document: a section accepts NOMINAL's keys
+and the members of its exclusive groups (SECTION_KEYS), at most one key of
+each group, and needs every NOMINAL key outside the groups.
 """
 from __future__ import annotations
 
@@ -153,69 +156,69 @@ def is_finite(value) -> bool:
     return -sys.float_info.max <= value <= sys.float_info.max
 
 
-def _reject_unknown(section: str, data: dict, allowed: set[str]):
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {section!r}: {sorted(unknown)}; allowed: {sorted(allowed)}")
-
-
-def _check_section(section: str, data: dict, allowed: set[str]):
-    _reject_unknown(section, data, allowed)
-    for key, value in data.items():
-        if not is_number(value):
-            raise ValueError(f"{section} key {key!r} must be a number, got {value!r}")
-        if not is_finite(value):
-            raise ValueError(f"{section} key {key!r} must be finite, got {value!r}")
-
-
-def cavity_from_dict(data: dict) -> CavityParams:
-    _check_section("cavity", data, {"kappa_i_mhz", "kappa_ex_mhz", "fsr_mhz", "lambda_p_nm"})
-    try:
-        return CavityParams(
-            kappa_i=mhz_to_rad(data["kappa_i_mhz"]),
-            kappa_ex=mhz_to_rad(data["kappa_ex_mhz"]),
-            fsr=data["fsr_mhz"] * 1e6,
-            lambda_p=data["lambda_p_nm"] * 1e-9,
-        )
-    except KeyError as exc:
-        raise ValueError(f"cavity section missing key {exc}") from exc
-
-
-def ensemble_from_dict(data: dict) -> EnsembleParams:
-    allowed = {"cooperativity", "gamma_par_mhz", "gamma_d_mhz", "gamma_perp_mhz", "n_sat"}
-    _check_section("ensemble", data, allowed)
-    if ("gamma_d_mhz" in data) and ("gamma_perp_mhz" in data):
-        raise ValueError("give only one of gamma_d_mhz and gamma_perp_mhz")
-    try:
-        gamma_par = mhz_to_rad(data["gamma_par_mhz"])
-        if "gamma_perp_mhz" in data:
-            gamma_d = mhz_to_rad(data["gamma_perp_mhz"]) - gamma_par / 2.0
-        else:
-            gamma_d = mhz_to_rad(data.get("gamma_d_mhz", 0.0))
-        return EnsembleParams(
-            cooperativity=data["cooperativity"],
-            gamma_par=gamma_par,
-            gamma_d=gamma_d,
-            n_sat=data["n_sat"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"ensemble section missing key {exc}") from exc
-
-
-def drive_from_dict(data: dict) -> DriveParams:
-    _check_section("drive", data, {"input_power_w", "y"})
-    return DriveParams(
-        input_power=data.get("input_power_w"),
-        y=data.get("y"),
-    )
-
-
 # keys within one group are mutually exclusive: overriding any member evicts
 # the whole group from the base document instead of mixing old and new
 _EXCLUSIVE_GROUPS = {
     "ensemble": ({"gamma_d_mhz", "gamma_perp_mhz"},),
     "drive": ({"input_power_w", "y"},),
 }
+
+#: the keys each section accepts: NOMINAL's and the members of its exclusive groups
+SECTION_KEYS = {section: set(keys).union(*_EXCLUSIVE_GROUPS.get(section, ()))
+                for section, keys in NOMINAL.items()}
+
+
+def _reject_unknown(section: str, data: dict, allowed: set[str]):
+    unknown = set(data) - allowed
+    if unknown:
+        raise ValueError(f"unknown keys in {section!r}: {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
+def _check_section(section: str, data: dict):
+    groups = _EXCLUSIVE_GROUPS.get(section, ())
+    _reject_unknown(section, data, SECTION_KEYS[section])
+    for key, value in data.items():
+        if not is_number(value):
+            raise ValueError(f"{section} key {key!r} must be a number, got {value!r}")
+        if not is_finite(value):
+            raise ValueError(f"{section} key {key!r} must be finite, got {value!r}")
+    for group in groups:
+        given = sorted(group & set(data))
+        if len(given) > 1:
+            raise ValueError(f"give only one of {' and '.join(given)}")
+    for key in NOMINAL[section]:
+        if key not in data and not any(key in group for group in groups):
+            raise ValueError(f"{section} section missing key {key!r}")
+
+
+def cavity_from_dict(data: dict) -> CavityParams:
+    _check_section("cavity", data)
+    return CavityParams(
+        kappa_i=mhz_to_rad(data["kappa_i_mhz"]),
+        kappa_ex=mhz_to_rad(data["kappa_ex_mhz"]),
+        fsr=data["fsr_mhz"] * 1e6,
+        lambda_p=data["lambda_p_nm"] * 1e-9,
+    )
+
+
+def ensemble_from_dict(data: dict) -> EnsembleParams:
+    _check_section("ensemble", data)
+    gamma_par = mhz_to_rad(data["gamma_par_mhz"])
+    if "gamma_perp_mhz" in data:
+        gamma_d = mhz_to_rad(data["gamma_perp_mhz"]) - gamma_par / 2.0
+    else:
+        gamma_d = mhz_to_rad(data.get("gamma_d_mhz", 0.0))
+    return EnsembleParams(
+        cooperativity=data["cooperativity"],
+        gamma_par=gamma_par,
+        gamma_d=gamma_d,
+        n_sat=data["n_sat"],
+    )
+
+
+def drive_from_dict(data: dict) -> DriveParams:
+    _check_section("drive", data)
+    return DriveParams(input_power=data.get("input_power_w"), y=data.get("y"))
 
 
 def merge_document(base: dict, override: dict) -> dict:
@@ -226,7 +229,7 @@ def merge_document(base: dict, override: dict) -> dict:
     """
     if not isinstance(override, dict):
         raise ValueError(f"parameter document must be an object, got {override!r}")
-    _reject_unknown("top level", override, {"cavity", "ensemble", "drive"})
+    _reject_unknown("top level", override, set(NOMINAL))
     merged = {k: dict(v) for k, v in base.items()}
     for section, values in override.items():
         if not isinstance(values, dict):

@@ -116,45 +116,35 @@ def ring_from_rates(cavity: CavityParams) -> RingModel:
 
 
 def ring_from_lineshape(finesse: float, fsr: float, dip_transmission: float,
-                        detuning_offset: float = 0.0) -> RingModel:
+                        detuning_offset: float = 0.0, partials=False):
     """Build a RingModel from directly measurable lineshape quantities.
 
     Inverts finesse = pi sqrt(ta)/(1 - ta) for the product m = ta, then
     splits it using the dip depth: |t - a| = sqrt(T_dip) (1 - m), with the
-    undercoupled assignment t > a that _lineshape_partials differentiates.
+    undercoupled assignment t > a. With partials=True also returns
+    ((dt/dF, da/dF), (dt/dT_dip, da/dT_dip)) from the same intermediates;
+    the dip pair is NaN at T_dip = 0, where t and a go as sqrt(T_dip).
     """
     if not (finesse > 0):
         raise NonPositiveRate(f"finesse must be > 0, got {finesse!r}")
     if not (0.0 <= dip_transmission < 1.0):
         raise ValueError(f"dip_transmission must be in [0, 1), got {dip_transmission!r}")
-    # sqrt(m) solves (pi/finesse) x^2 + x... rearranged: m from the positive root
-    phi = math.pi / finesse
-    sqrt_m = (-phi + math.sqrt(phi * phi + 4.0)) / 2.0
-    m = sqrt_m * sqrt_m
-    diff = math.sqrt(dip_transmission) * (1.0 - m)
-    s = math.sqrt(diff * diff + 4.0 * m)  # t + a
-    t, a = (s + diff) / 2.0, (s - diff) / 2.0
-    return RingModel(t_coupler=t, a_roundtrip=min(a, 1.0), fsr=fsr, detuning_offset=detuning_offset)
-
-
-def _lineshape_partials(finesse: float, dip_transmission: float):
-    """d(t, a)/d(finesse, dip_transmission) of ring_from_lineshape, undercoupled.
-
-    Returns ((dt/dF, da/dF), (dt/dT_dip, da/dT_dip)); the dip column is NaN at
-    T_dip = 0, where t and a go as sqrt(T_dip).
-    """
+    # sqrt(m) is the positive root of x^2 + (pi/finesse) x - 1
     phi = math.pi / finesse
     root = math.sqrt(phi * phi + 4.0)
     sqrt_m = (-phi + root) / 2.0
     m = sqrt_m * sqrt_m
-    dm_df = sqrt_m * (phi / root - 1.0) * (-phi / finesse)
     sqrt_dip = math.sqrt(dip_transmission)
     diff = sqrt_dip * (1.0 - m)
-    s = math.sqrt(diff * diff + 4.0 * m)
+    s = math.sqrt(diff * diff + 4.0 * m)  # t + a
+    t, a = (s + diff) / 2.0, (s - diff) / 2.0
+    model = RingModel(t_coupler=t, a_roundtrip=min(a, 1.0), fsr=fsr, detuning_offset=detuning_offset)
+    if not partials:
+        return model
+    dm_df = sqrt_m * (phi / root - 1.0) * (-phi / finesse)
     ddiff_df = -sqrt_dip * dm_df
     ddiff_dd = (1.0 - m) / (2.0 * sqrt_dip) if sqrt_dip > 0.0 else math.inf
     ds_df = (diff * ddiff_df + 2.0 * dm_df) / s
     ds_dd = diff * ddiff_dd / s
-    d_finesse = ((ds_df + ddiff_df) / 2.0, (ds_df - ddiff_df) / 2.0)
-    d_dip = ((ds_dd + ddiff_dd) / 2.0, (ds_dd - ddiff_dd) / 2.0)
-    return d_finesse, d_dip
+    return (model, ((ds_df + ddiff_df) / 2.0, (ds_df - ddiff_df) / 2.0),
+            ((ds_dd + ddiff_dd) / 2.0, (ds_dd - ddiff_dd) / 2.0))

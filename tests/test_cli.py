@@ -56,6 +56,8 @@ def test_spectrum_conflicting_drive_exits_2(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, ["spectrum", "--y", "0.5", "--power-w", "1e-12"])
     assert result.exit_code == 2
+    assert "give only one of input_power_w and y" in result.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_spectrum_bad_params_file_exits_2(runner, tmp_path, monkeypatch):
@@ -203,11 +205,15 @@ def test_empty_cavity_refused_fit_writes_nothing(runner, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_empty_cavity_rejects_conflicting_inputs(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize("option, value", [("--finesse", "35"), ("--fsr-mhz", "150"),
+                                           ("--dip-transmission", "0.3"), ("--nu0-mhz", "25")])
+def test_empty_cavity_rejects_conflicting_inputs(runner, tmp_path, monkeypatch, option, value):
+    # every synthesis truth option conflicts with --data, --nu0-mhz included
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.csv").write_text("detuning_mhz,transmission\n0,0.5\n1,0.6\n")
-    result = runner.invoke(main, ["empty-cavity", "--data", "d.csv", "--finesse", "35"])
+    result = runner.invoke(main, ["empty-cavity", "--data", "d.csv", option, value])
     assert result.exit_code == 2
+    assert "conflict with --data" in result.stderr
 
 
 def test_lock_hold_and_metrics(runner, tmp_path, monkeypatch):
@@ -557,6 +563,10 @@ def test_malformed_manifest_exits_2(runner, tmp_path, monkeypatch, command, mani
                                 "nu0_mhz": 0.0},
         "span_mhz": 340.0, "points": 301, "noise": 0.01, "seed": 0, "output": "e.json"}},
      "manifest 'truth' must map parameters to numbers"),
+    ("rerun", None, {"command": "empty-cavity", "resolved": {
+        "data": None, "truth": {"finesse": 40.0, "bogus": 1.0},
+        "span_mhz": 340.0, "points": 301, "noise": 0.01, "seed": 0, "output": "e.json"}},
+     "manifest 'truth' must map parameters to numbers, exactly"),
     ("report", None, {"command": "spectrum", "resolved": {}, "outputs": 5},
      "manifest 'outputs' must be a list of paths"),
 ])
@@ -585,6 +595,8 @@ def test_malformed_manifest_values_exit_2(runner, tmp_path, monkeypatch, command
     ({"model": "empty_ring", "free": ["finesse"], "fixed": 5}, "fixed must map"),
     ({"model": "empty_ring", "free": ["finesse"], "bounds": {"finesse": [1.0]}},
      "bounds for 'finesse' must be a pair of numbers"),
+    ({"model": "atomic_spectrum", "free": ["cooperativity", "cooperativity"]},
+     "free names ['cooperativity'] more than once"),
 ])
 def test_malformed_fitspec_exits_2(runner, tmp_path, monkeypatch, fitspec, message):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -129,3 +130,21 @@ def test_cavity_from_dict_missing_key():
 def test_non_finite_values_rejected(section, key, value):
     with pytest.raises(ValueError, match=f"{section} key '{key}' must be finite"):
         params_from_dict({section: {key: value}})
+
+
+# the exclusive pairs of the document, restated here as the test's oracle
+_PAIRS = {"ensemble": ("gamma_d_mhz", "gamma_perp_mhz"), "drive": ("input_power_w", "y")}
+
+
+@pytest.mark.parametrize("section", sorted(NOMINAL))
+def test_each_section_accepts_nominal_keys_and_its_pair(section):
+    pair = _PAIRS.get(section, ())
+    allowed = sorted({*NOMINAL[section], *pair})
+    with pytest.raises(ValueError, match=re.escape(f"allowed: {allowed}")):
+        params_from_dict({section: {"bogus": 1.0}})
+    for key in allowed:
+        params_from_dict({section: {key: NOMINAL[section].get(key, 1.0)}})
+    if pair:
+        # one rule for every section: a ValueError naming both keys
+        with pytest.raises(ValueError, match=f"give only one of {pair[0]} and {pair[1]}"):
+            params_from_dict({section: {pair[0]: 1.0, pair[1]: 1.0}})
