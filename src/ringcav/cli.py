@@ -149,22 +149,21 @@ def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
 
 
 def _load_doc(params_path, options: dict) -> dict:
-    """The merged parameter document and the file it came from, as ``doc`` and ``inputs``.
+    """The resolved values of a command that reads a parameter document.
 
-    Pops each option named after a document key from options; one given (not
-    None) overrides the file's value, in the section SECTION_KEYS puts it in.
+    An option named after a document key overrides the file's value when
+    given (not None), in the section SECTION_KEYS puts it in; the merged
+    document is ``doc``, its file ``inputs``, and the other options follow.
     """
-    overrides = {}
-    for section, keys in SECTION_KEYS.items():
-        for key in [key for key in options if key in keys]:
-            value = options.pop(key)
-            if value is not None:
-                overrides.setdefault(section, {})[key] = value
+    overrides = {section: {k: v for k, v in options.items() if k in keys and v is not None}
+                 for section, keys in SECTION_KEYS.items()}
+    doc_keys = set().union(*SECTION_KEYS.values())
+    rest = {k: v for k, v in options.items() if k not in doc_keys}
     doc = io.read_json(params_path) if params_path else {}
     if not isinstance(doc, dict):
         raise ValueError("parameter file must hold a JSON object")
     doc = merge_document(merge_document(NOMINAL, doc), overrides)
-    return {"doc": doc, "inputs": [params_path] if params_path else []}
+    return {"doc": doc, "inputs": [params_path] if params_path else [], **rest}
 
 
 class _Main(click.Group):
@@ -236,7 +235,7 @@ def _run_spectrum(r: dict) -> list:
 @click.option("--output", type=click.Path(), default="spectrum.csv", show_default=True)
 def spectrum(params_path, **options):
     """Simulate a probe transmission spectrum and write it as CSV."""
-    _execute("spectrum", {**_load_doc(params_path, options), **options})
+    _execute("spectrum", _load_doc(params_path, options))
 
 
 # -------------------------------------------------------------- saturation
@@ -267,7 +266,7 @@ def _run_saturation(r: dict) -> list:
 @click.option("--output", type=click.Path(), default="saturation.csv", show_default=True)
 def saturation(params_path, **options):
     """Simulate on-resonance transmission vs probe power (log-spaced grid)."""
-    _execute("saturation", {**_load_doc(params_path, options), **options})
+    _execute("saturation", _load_doc(params_path, options))
 
 
 # --------------------------------------------------------------------- fit
@@ -510,7 +509,7 @@ def _thermal_option(key: str, **kwargs):
 @click.option("--output", type=click.Path(), default="lock.csv", show_default=True)
 def lock(params_path, **options):
     """Simulate thermal pulling: closed-loop holds, steps, or open scans."""
-    _execute("lock", {**_load_doc(params_path, options), **options})
+    _execute("lock", _load_doc(params_path, options))
 
 
 # ------------------------------------------------------------------ report

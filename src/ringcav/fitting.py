@@ -27,12 +27,12 @@ bound that the gradient pushes outward is held there for the next step.
 Each model evaluation returns the values and their jacobian from one call,
 on one code path: the cubic models differentiate the certified intensity
 root implicitly, the ring model uses the closed-form derivatives of its
-field and of its lineshape mapping; a call with no free parameters skips
-only the derivatives. A jacobian column that comes out non-finite (at a
-double root, or at dip_transmission = 0 where the ring goes as its square
-root) falls back to a one-sided difference that steps into the bounds. Degenerate (flat) parameter directions at the
-optimum are detected from the jacobian SVD and reported by raising
-DegenerateFit.
+field and of its lineshape mapping; with no free parameters a call skips
+only the derivatives. A non-finite jacobian column (at a double root, or at
+dip_transmission = 0 where the ring goes as its square root) falls back to
+a one-sided difference that steps into the bounds. Degenerate (flat)
+parameter directions at the optimum are detected from the jacobian SVD and
+reported by raising DegenerateFit.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .errors import DegenerateFit, ModelEvaluationFailed, NotConverged, RingcavE
 from .params import (NOMINAL, CavityParams, EnsembleParams, cavity_from_dict, drive_from_dict,
                      ensemble_from_dict, is_finite, is_number)
 from .peaks import _median, find_transmission_dips, measure_splitting
-from .ring import _ring_transmission, ring_from_lineshape
+from .ring import _ring_transmission, ring_from_lineshape, ring_transmission
 from .units import TWO_PI, mhz_to_rad
 
 N_STARTS = 8
@@ -215,7 +215,7 @@ def _ring_model(x_mhz, p, free=()):
     out = ring_from_lineshape(p["finesse"], p["fsr_mhz"] * 1e6, p["dip_transmission"],
                               p["nu0_mhz"] * 1e6, partials=bool(free))
     if not free:
-        return p["scale"] * _ring_transmission(x_mhz * 1e6, out) + p["baseline"], None
+        return p["scale"] * ring_transmission(x_mhz * 1e6, out) + p["baseline"], None
     model, (t_f, a_f), (t_d, a_d) = out
     t, (t_t, t_a, t_fsr, t_offset) = _ring_transmission(x_mhz * 1e6, model, partials=True)
     columns = {
