@@ -9,9 +9,9 @@ The resolved dict holds each option under its click parameter name, except
 those a command folds into one entry: the parameter document, with the
 options named after its keys, and its source (``doc`` and ``inputs``), the
 fit specification read from ``--fitspec`` (``fitspec``) and
-``empty-cavity``'s synthesis truth (``truth``). So renaming a click
-parameter changes the manifest format, and ``rerun`` of a manifest written
-before the rename fails.
+``empty-cavity``'s synthesis truth (``truth``). ``rerun`` refuses any
+other key. So renaming a click parameter changes the manifest format, and
+``rerun`` of a manifest written before the rename fails.
 
 Exit codes: 2 invalid input or configuration, 3 solver failure, 4 fit did
 not converge, 5 degenerate fit (suppress with --allow-degenerate), 6 lock
@@ -20,6 +20,7 @@ group handler maps them.
 """
 from __future__ import annotations
 
+import gc
 import math
 import shutil
 from dataclasses import fields, replace
@@ -89,8 +90,29 @@ def _json_fits(ptype, value) -> bool:
     return isinstance(value, str)  # click.Path
 
 
+def _recorded_keys(command: str) -> set:
+    """The resolved keys a command records (see the module docstring)."""
+    keys = set()
+    for param in main.commands[command].params:
+        if param.name == "params_path":
+            keys |= {"doc", "inputs"}
+        elif param.name == "fitspec_path":
+            keys.add("fitspec")
+        elif param.name in _EMPTY_FREE:
+            keys.add("truth")
+        elif param.name not in _DOC_KEYS:
+            keys.add(param.name)
+    return keys
+
+
 def _check_resolved(command: str, resolved: dict) -> None:
-    """Reject recorded option values of the wrong JSON type before a runner reads them."""
+    """Reject keys the command does not record, and recorded option values of
+    the wrong JSON type, before a runner reads them.
+    """
+    unknown = set(resolved) - _recorded_keys(command)
+    if unknown:
+        raise ValueError(f"manifest 'resolved' holds keys {command} does not record: "
+                         f"{sorted(unknown)}")
     _check_paths(resolved.get("inputs", []), "inputs")
     if command == "empty-cavity" and resolved.get("data") is None:
         truth = _manifest_object(resolved["truth"], "manifest 'truth'")
@@ -148,6 +170,9 @@ def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
     return [str(p) for p in written]
 
 
+_DOC_KEYS = set().union(*SECTION_KEYS.values())
+
+
 def _load_doc(params_path, options: dict) -> dict:
     """The resolved values of a command that reads a parameter document.
 
@@ -157,8 +182,7 @@ def _load_doc(params_path, options: dict) -> dict:
     """
     overrides = {section: {k: v for k, v in options.items() if k in keys and v is not None}
                  for section, keys in SECTION_KEYS.items()}
-    doc_keys = set().union(*SECTION_KEYS.values())
-    rest = {k: v for k, v in options.items() if k not in doc_keys}
+    rest = {k: v for k, v in options.items() if k not in _DOC_KEYS}
     doc = io.read_json(params_path) if params_path else {}
     if not isinstance(doc, dict):
         raise ValueError("parameter file must hold a JSON object")
@@ -171,7 +195,22 @@ class _Main(click.Group):
 
     The exit status is the error class's ``exit_code`` (2 for the
     built-ins); any other exception is a bug and propagates.
+
+    ``main`` first moves every object alive into the collector's permanent
+    generation (``gc.freeze``), which the collections run at interpreter
+    exit do not traverse: a command process then takes 7-10 ms from the
+    command's return to its exit instead of 28-38 ms (2-CPU x86-64), with
+    no ``atexit`` handler or buffer flush skipped. In a process that stays
+    alive, such as a test session driving the group through click's
+    ``CliRunner``, each call also pins the garbage cycles left by earlier
+    ones: the 496-test suite peaked at 200 MB against 186 MB without the
+    freeze, in the same 26 s. That cost is accepted; there is no unfreeze
+    path.
     """
+
+    def main(self, *args, **kwargs):
+        gc.freeze()
+        return super().main(*args, **kwargs)
 
     def invoke(self, ctx):
         try:
@@ -271,6 +310,24 @@ def saturation(params_path, **options):
 
 # --------------------------------------------------------------------- fit
 
+def _unbounded_as_null(doc):
+    """The fitspec document with -inf below and +inf above a bounds pair as null.
+
+    JSON has no infinities, and FitSpec reads null as the unbounded side;
+    anything malformed is left for FitSpec to refuse.
+    """
+    bounds = doc.get("bounds") if isinstance(doc, dict) else None
+    if not isinstance(bounds, dict):
+        return doc
+    pairs = {}
+    for name, pair in bounds.items():
+        if isinstance(pair, list) and len(pair) == 2:
+            lo, hi = pair
+            pair = [None if lo == -math.inf else lo, None if hi == math.inf else hi]
+        pairs[name] = pair
+    return {**doc, "bounds": pairs}
+
+
 def _fitspec_from_doc(doc: dict) -> fitting.FitSpec:
     if not isinstance(doc, dict):
         raise ValueError(f"fitspec must hold a JSON object, got {doc!r}")
@@ -283,10 +340,12 @@ def _fitspec_from_doc(doc: dict) -> fitting.FitSpec:
 
 
 def _fit_payload(result: fitting.FitResult, degenerate: list) -> dict:
+    """The fit's JSON output; a flat direction's infinite sigma is written as null."""
     return {
         "estimates": result.estimates,
         "residual_rms": result.residual_rms,
-        "covariance_proxy": result.covariance_proxy,
+        "covariance_proxy": {name: sigma if math.isfinite(sigma) else None
+                             for name, sigma in result.covariance_proxy.items()},
         "n_eval": result.n_eval,
         "n_starts": result.n_starts,
         "converged": result.converged,
@@ -301,6 +360,7 @@ def _load_dataset(path) -> fitting.Dataset:
 
 def _run_fit(r: dict) -> list:
     _check_finite(r)
+    r["fitspec"] = _unbounded_as_null(r["fitspec"])  # as the manifest records it
     data = _load_dataset(r["data"])
     spec = _fitspec_from_doc(r["fitspec"])
     degenerate = []

@@ -89,7 +89,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FitSpec:
-    """What to fit: model name, free parameter names, fixed values, bounds, init."""
+    """What to fit: model name, free parameter names, fixed values, bounds, init.
+
+    A bounds pair's side may be None, JSON's null, for unbounded: it reads
+    as -inf below and +inf above.
+    """
 
     model: str
     free: tuple
@@ -115,9 +119,15 @@ class FitSpec:
                     raise ValueError(f"{label} value for {name!r} must be a number, got {value!r}")
                 if not is_finite(value):
                     raise ValueError(f"{label} value for {name!r} must be finite, got {value!r}")
+        bounds = {}
         for name, pair in self.bounds.items():
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_number, pair))):
-                raise ValueError(f"bounds for {name!r} must be a pair of numbers, got {pair!r}")
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(v is None or is_number(v) for v in pair)):
+                raise ValueError(f"bounds for {name!r} must be a pair of numbers or nulls, "
+                                 f"got {pair!r}")
+            lo, hi = pair
+            bounds[name] = (-np.inf if lo is None else lo, np.inf if hi is None else hi)
+        object.__setattr__(self, "bounds", bounds)
         overlap = set(self.free) & set(self.fixed)
         if overlap:
             raise ValueError(f"parameters both free and fixed: {sorted(overlap)}")

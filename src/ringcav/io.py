@@ -211,9 +211,10 @@ def read_dataset_csv(path):
 
 
 def write_json(path, obj) -> None:
+    """Standard JSON: a NaN or infinite float raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

@@ -6,7 +6,7 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringcav import cli, errors, fitting, io, thermal
@@ -155,6 +155,58 @@ def test_fit_degenerate_exits_5(runner, tmp_path, monkeypatch):
                                    "--allow-degenerate", "--output", "fit.json"])
     assert allowed.exit_code == 0
     assert io.read_json(tmp_path / "fit.json")["degenerate_parameters"] == ["n_sat"]
+
+
+def _strict_json(path):
+    """The JSON file at path, refusing NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def test_degenerate_fit_writes_flat_sigmas_as_null(runner, tmp_path, monkeypatch):
+    # with no atoms the spectrum does not depend on gamma_perp at all, so its
+    # sigma is infinite
+    monkeypatch.chdir(tmp_path)
+    runner.invoke(main, ["spectrum", "--cooperativity", "0", "--noise", "0.01", "--seed", "3",
+                         "--points", "201", "--output", "c0.csv"], catch_exceptions=False)
+    (tmp_path / "fs.json").write_text(json.dumps(
+        {"model": "atomic_spectrum", "free": ["gamma_perp_mhz", "scale"],
+         "fixed": {"cooperativity": 0.0}}))
+    result = runner.invoke(main, ["fit", "--data", "c0.csv", "--fitspec", "fs.json",
+                                  "--allow-degenerate", "--output", "fit.json"],
+                           catch_exceptions=False)
+    assert result.exit_code == 0
+    payload = _strict_json(tmp_path / "fit.json")
+    assert payload["degenerate_parameters"] == ["gamma_perp_mhz"]
+    assert payload["covariance_proxy"]["gamma_perp_mhz"] is None
+    assert payload["covariance_proxy"]["scale"] > 0
+    _strict_json(tmp_path / "fit.json.manifest.json")
+
+
+def test_unbounded_fitspec_bounds_are_recorded_as_null(runner, tmp_path, monkeypatch):
+    # json reads -Infinity and Infinity; the manifest writes them as null,
+    # which FitSpec reads back as the unbounded sides
+    monkeypatch.chdir(tmp_path)
+    runner.invoke(main, ["spectrum", "--noise", "0.01", "--seed", "2", "--output", "d.csv"],
+                  catch_exceptions=False)
+    (tmp_path / "fs.json").write_text(
+        '{"model": "atomic_spectrum", "free": ["cooperativity", "baseline"], '
+        '"bounds": {"cooperativity": [0.0, Infinity], "baseline": [-Infinity, Infinity]}}')
+    result = runner.invoke(main, ["fit", "--data", "d.csv", "--fitspec", "fs.json",
+                                  "--output", "fit.json"], catch_exceptions=False)
+    assert result.exit_code == 0
+    manifest = _strict_json(tmp_path / "fit.json.manifest.json")
+    assert manifest["resolved"]["fitspec"]["bounds"] == {
+        "cooperativity": [0.0, None], "baseline": [None, None]}
+    before = (tmp_path / "fit.json").read_bytes()
+    (tmp_path / "fit.json").unlink()
+    result = runner.invoke(main, ["rerun", "fit.json.manifest.json"], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert (tmp_path / "fit.json").read_bytes() == before
+    assert _strict_json(tmp_path / "fit.json.manifest.json")["resolved"] == manifest["resolved"]
 
 
 def test_degenerate_fit_stays_within_its_evaluation_budget(runner, tmp_path, monkeypatch):
@@ -476,6 +528,24 @@ def test_manifest_records_the_same_resolved_keys(runner, tmp_path, monkeypatch, 
     assert result.exit_code == 0, result.output
     manifest = io.read_json(tmp_path / (args[-1] + ".manifest.json"))
     assert set(manifest["resolved"]) == _RESOLVED_KEYS[args[0]]
+    assert cli._recorded_keys(args[0]) == _RESOLVED_KEYS[args[0]]
+
+
+def test_rerun_refuses_keys_the_command_does_not_record(runner, tmp_path, monkeypatch):
+    # a document key belongs inside doc; at the top level it would replay as
+    # the document's value, silently
+    monkeypatch.chdir(tmp_path)
+    runner.invoke(main, ["spectrum", "--points", "11", "--output", "s.csv"],
+                  catch_exceptions=False)
+    manifest = io.read_json("s.csv.manifest.json")
+    manifest["resolved"].update({"cooperativity": 9.0, "bogus": 1})
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    (tmp_path / "s.csv").unlink()
+    result = runner.invoke(main, ["rerun", "m.json"])
+    assert result.exit_code == 2
+    assert result.stderr == ("error: manifest 'resolved' holds keys spectrum does not "
+                             "record: ['bogus', 'cooperativity']\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 # ------------------------------------------------------- exit-code contract
@@ -661,6 +731,8 @@ def test_params_reject_non_finite_numbers(key, value):
 @settings(max_examples=80, deadline=None)
 @given(slot=st.sampled_from(["fixed", "init", "bounds", "lower", "upper"]), value=_NOT_NUMBERS)
 def test_fitspec_rejects_non_numbers(slot, value):
+    # a bound's side may be null, the unbounded side
+    assume(value is not None or slot not in ("lower", "upper"))
     fitspec = {"model": "empty_ring", "free": ["finesse"]}
     if slot == "fixed":
         fitspec["fixed"] = {"fsr_mhz": value}

@@ -67,6 +67,10 @@ def test_fitspec_validation():
         with pytest.raises(ValueError, match=f"{label} value for '{name}' must be finite"):
             FitSpec(model=model, free=("scale",), **{label: {name: value}})
     FitSpec(model="empty_ring", free=("nu0_mhz",), bounds={"nu0_mhz": (-np.inf, np.inf)})
+    # null, JSON's form of an unbounded side, reads as the infinity it stands for
+    spec = FitSpec(model="empty_ring", free=("nu0_mhz",),
+                   bounds={"nu0_mhz": [None, None], "finesse": [5.0, None]})
+    assert spec.bounds == {"nu0_mhz": (-np.inf, np.inf), "finesse": (5.0, np.inf)}
 
 
 def test_objective_zero_at_truth(weak_spectrum_grid, spectrum_spec):

@@ -1,4 +1,5 @@
-"""Which optional numpy and scipy modules ringcav loads, each checked in a fresh process."""
+"""Checked in a fresh process: which optional numpy and scipy modules ringcav loads, and
+how a command process ends."""
 import os
 import subprocess
 import sys
@@ -12,15 +13,21 @@ from ringcav import fitting, io
 _SRC = str(Path(ringcav.__file__).resolve().parents[1])
 
 
+def _run(args: list, cwd=None) -> subprocess.CompletedProcess:
+    """python ARGS in a fresh process that finds this checkout's ringcav first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120, cwd=cwd)
+
+
 def _modules_after(statement: str, package: str = "scipy", cwd=None) -> set:
     code = (
         f"import sys; {statement}; print(' '.join(m for m in sys.modules "
         f"if m == {package!r} or m.startswith({package + '.'!r})))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=120, cwd=cwd)
+    done = _run(["-c", code], cwd)
+    assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())  # the statement may print too
 
 
@@ -57,3 +64,28 @@ def test_a_fit_command_loads_no_numpy_ma(tmp_path):
         package="numpy.ma", cwd=tmp_path)
     assert (tmp_path / "fit.json").is_file()
     assert loaded == set()
+
+
+def test_cli_entry_freezes_the_collector(tmp_path):
+    # frozen objects sit in the permanent generation, which the collections
+    # at interpreter exit do not traverse
+    done = _run(["-c", "import gc; from ringcav.cli import main; "
+                       "main(['--version'], standalone_mode=False); "
+                       "print(gc.get_freeze_count())"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) > 0
+
+
+def test_a_frozen_command_process_still_exits_cleanly(tmp_path):
+    # the freeze shortens exit without skipping it: the exit code, every
+    # echoed line and every written byte are there
+    done = _run(["-m", "ringcav.cli", "spectrum", "--points", "11", "--output", "s.csv"],
+                tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "wrote s.csv\nwrote s.csv.manifest.json\n"
+    assert done.stderr == ""
+    text = (tmp_path / "s.csv").read_bytes()
+    assert text.startswith(b"detuning_mhz,transmission\r\n") and text.endswith(b"\r\n")
+    assert text.count(b"\r\n") == 12
+    assert io.read_columns_csv(tmp_path / "s.csv")["detuning_mhz"].tolist()[::10] == [-20.0, 20.0]
+    assert io.read_json(tmp_path / "s.csv.manifest.json")["outputs"] == ["s.csv"]

@@ -93,6 +93,14 @@ def test_json_roundtrip_and_layout(tmp_path):
     assert io.read_json(p) == {"b": 1, "a": [1.5, None]}
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_refuses_non_finite_floats_and_writes_nothing(tmp_path, value):
+    p = tmp_path / "o.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        io.write_json(p, {"a": [1.0, {"b": value}]})
+    assert not p.exists()
+
+
 def test_manifest_contents(tmp_path):
     m = io.build_manifest("spectrum", {"seed": 3}, ["in.json"], ["out.csv"])
     assert m["command"] == "spectrum"
