@@ -33,6 +33,9 @@ dip_transmission = 0 where the ring goes as its square root) falls back to
 a one-sided difference that steps into the bounds. Degenerate (flat)
 parameter directions at the optimum are detected from the jacobian SVD and
 reported by raising DegenerateFit.
+
+The starts' jitter is numpy's PCG64 seed-0 uniform stream, computed in
+Python integers (_seed0_jitter), so a fit imports no numpy.random.
 """
 from __future__ import annotations
 
@@ -77,8 +80,9 @@ class Dataset:
             raise ValueError("sigma must match x in length")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.yobs)):
             raise ValueError("x and yobs must be finite")
-        if self.sigma is not None and not np.all(self.sigma > 0):
-            raise ValueError("sigma must be strictly positive")
+        # a weight 1/sigma**2 outside this range overflows to inf or underflows to 0
+        if self.sigma is not None and not np.all((self.sigma >= 1e-150) & (self.sigma <= 1e150)):
+            raise ValueError("sigma must lie in [1e-150, 1e150]")
 
     @property
     def weights(self) -> np.ndarray:
@@ -391,8 +395,33 @@ def _resolved_dips(x, yobs, dips) -> bool:
     return True
 
 
+#: numpy's PCG64 state and increment after seeding with 0, from
+#: np.random.default_rng(0).bit_generator.state, and PCG64's multiplier
+_PCG64_SEED0 = (35399562948360463058890781895381311971, 87136372517582989555478159403783844777)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed0_jitter():
+    """Yield np.random.default_rng(0).uniform(-0.25, 0.25)'s draws, bit for bit.
+
+    PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit linear congruential step,
+    then the XSL-RR output, the state's two halves xored and rotated right by
+    its top 6 bits; a double is the output's top 53 bits over 2**53. Python
+    integers carry it, so a fit imports no numpy.random (about 15 ms and a
+    dozen extension modules in a fresh process).
+    """
+    state, inc = _PCG64_SEED0
+    while True:
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        yield -0.25 + 0.5 * ((x >> 11) * 2.0 ** -53)
+
+
 def _jittered_starts(init: dict, bounds: dict, n_starts: int, spread: dict) -> list[dict]:
-    # deterministic jitter; data-order independent by construction. Each
+    # deterministic jitter, numpy's PCG64 seed-0 uniform stream drawn without
+    # numpy.random (_seed0_jitter); data-order independent by construction. Each
     # parameter moves by up to a quarter of a width: twice its init value
     # (at least 1), or its spread from default_init where narrower, or the
     # box where narrower still. The spread keeps measured fsr and nu0 within
@@ -401,7 +430,7 @@ def _jittered_starts(init: dict, bounds: dict, n_starts: int, spread: dict) -> l
     # is reflected back off its bound, never clipped onto it: a start on
     # C = 0 is stationary for the box problem when gamma_perp is free. The
     # jitter is at most a quarter of the box, so the reflection stays inside.
-    rng = np.random.default_rng(0)
+    jitter = _seed0_jitter()
     starts = [dict(init)]
     names = sorted(init)
     for _ in range(n_starts - 1):
@@ -412,7 +441,7 @@ def _jittered_starts(init: dict, bounds: dict, n_starts: int, spread: dict) -> l
             width = min(2.0 * max(abs(v), 1.0), spread.get(name, np.inf))
             if np.isfinite(lo) and np.isfinite(hi):
                 width = min(hi - lo, width)
-            v = v + rng.uniform(-0.25, 0.25) * width
+            v = v + next(jitter) * width
             s[name] = float(lo + (lo - v) if v < lo else hi - (v - hi) if v > hi else v)
         starts.append(s)
     return starts

@@ -746,3 +746,31 @@ def test_fitspec_rejects_non_numbers(slot, value):
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.stderr
     assert "must be a" in result.stderr
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+)
+_EMPTY_CAVITY_OPTIONS = {
+    **{option: _EDGE_FLOATS for option in ("--finesse", "--fsr-mhz", "--dip-transmission",
+                                           "--nu0-mhz", "--span-mhz", "--noise")},
+    # a grid is small, or refused by the cap before any array exists
+    "--points": st.one_of(st.integers(1, 400), st.integers(max_value=0),
+                          st.integers(min_value=cli.MAX_POINTS + 1)),
+    "--seed": st.integers(),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(options=st.lists(st.sampled_from(sorted(_EMPTY_CAVITY_OPTIONS)), max_size=3, unique=True)
+       .flatmap(lambda names: st.fixed_dictionaries(
+           {name: _EMPTY_CAVITY_OPTIONS[name] for name in names})))
+def test_empty_cavity_runs_or_exits_with_a_documented_code(options):
+    args = ["empty-cavity", "--points", "301"]  # a later --points wins
+    for option, value in options.items():
+        args += [option, str(value)]
+    result = _invoke_in_scratch_dir({}, args)
+    assert result.exit_code in {0, 2, 3, 4, 5, 6}, (args, result.output, result.exception)
+    assert "Traceback" not in result.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -32,6 +33,13 @@ def test_dataset_validation():
         Dataset(np.array([0.0, np.nan]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Dataset(np.arange(2.0), np.arange(2.0), sigma=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e160, np.nan])
+def test_dataset_refuses_a_sigma_whose_weight_is_not_finite_and_nonzero(sigma):
+    # 1/sigma**2 would be inf or 0: every residual non-finite or ignored
+    with pytest.raises(ValueError, match=r"sigma must lie in \[1e-150, 1e150\]"):
+        Dataset(np.arange(2.0), np.ones(2), sigma=np.array([1.0, sigma]))
 
 
 def test_dataset_weights_default_one():
@@ -618,13 +626,16 @@ def _fit_cost(data, spec):
     return result, 0.5 * fitting.objective(data, spec, result.estimates)
 
 
-@pytest.mark.parametrize("init, bounds", [
+_JITTER_BOXES = [
     ({"cooperativity": 0.1}, {"cooperativity": (0.0, 50.0)}),
     ({"cooperativity": 0.0, "gamma_perp_mhz": 2.6},
      {"cooperativity": (0.0, 50.0), "gamma_perp_mhz": (2.6, 50.0)}),
     ({"dip_transmission": 0.99}, {"dip_transmission": (0.0, 0.999)}),
     ({"nu0_mhz": 0.0}, {"nu0_mhz": (-np.inf, 0.01)}),
-])
+]
+
+
+@pytest.mark.parametrize("init, bounds", _JITTER_BOXES)
 def test_jittered_starts_never_begin_on_a_bound(init, bounds):
     # an overshoot is reflected off its bound, not clipped onto it
     starts = fitting._jittered_starts(init, bounds, 64, {})
@@ -632,6 +643,19 @@ def test_jittered_starts_never_begin_on_a_bound(init, bounds):
     for start in starts[1:]:
         for name, (lo, hi) in bounds.items():
             assert lo < start[name] < hi, (name, start)
+
+
+def test_jitter_is_numpys_seed0_uniform_stream():
+    drawn = list(itertools.islice(fitting._seed0_jitter(), 10_000))
+    assert drawn == np.random.default_rng(0).uniform(-0.25, 0.25, 10_000).tolist()
+
+
+@pytest.mark.parametrize("init, bounds", _JITTER_BOXES)
+def test_jittered_starts_match_the_numpy_random_oracle(init, bounds):
+    # _wide_jittered_starts draws from numpy.random itself; without a
+    # spread the two agree bit for bit
+    assert fitting._jittered_starts(init, bounds, 64, {}) == _wide_jittered_starts(init, bounds,
+                                                                                   64, {})
 
 
 @pytest.mark.parametrize("cap, expected", [

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ringcav
 from ringcav import fitting, io
@@ -50,20 +51,34 @@ def test_cli_and_a_fit_load_no_scipy():
     assert loaded == set()
 
 
-def test_a_fit_command_loads_no_numpy_ma(tmp_path):
-    # np.median imports numpy.ma on first use; the fit's initial guess takes
-    # the noise scale's median through peaks._median instead
+@pytest.mark.parametrize("args, loads", [
+    (["spectrum", "--points", "11"], set()),
+    (["saturation", "--points", "5"], set()),
+    (["lock", "--mode", "hold", "--duration-s", "0.01"], set()),
+    (["fit", "--data", "d.csv", "--fitspec", "fs.json"], set()),
+    (["empty-cavity", "--noise", "0", "--points", "301"], set()),
+    # the probe can fail: a noisy spectrum draws numpy's Gaussian stream
+    (["spectrum", "--points", "11", "--noise", "0.01"], {"numpy.random"}),
+], ids=["spectrum", "saturation", "lock-hold", "fit", "empty-cavity", "noisy-spectrum"])
+def test_a_command_loads_no_module_after_the_cli(tmp_path, args, loads):
+    # a command pays only for the work it runs: np.median would import
+    # numpy.ma on first use, so the fit's initial guess takes its medians
+    # through peaks._median, and the starts' jitter is drawn without
+    # numpy.random (fitting._seed0_jitter)
     spec = fitting.FitSpec(model="atomic_spectrum", free=("cooperativity",))
     data = fitting.generate_synthetic(spec, np.linspace(-20.0, 20.0, 41), {"cooperativity": 1.5},
                                       noise_sigma=0.01, seed=1)
     io.write_spectrum_csv(tmp_path / "d.csv", data.x, data.yobs)
     (tmp_path / "fs.json").write_text('{"model": "atomic_spectrum", "free": ["cooperativity"]}')
-    loaded = _modules_after(
-        "from ringcav.cli import main; "
-        "main(['fit', '--data', 'd.csv', '--fitspec', 'fs.json'], standalone_mode=False)",
-        package="numpy.ma", cwd=tmp_path)
-    assert (tmp_path / "fit.json").is_file()
-    assert loaded == set()
+    done = _run(["-c", "import sys; import ringcav.cli; before = set(sys.modules); "
+                       f"assert ringcav.cli.main({args!r}, standalone_mode=False) is None; "
+                       "print(' '.join(sorted(set(sys.modules) - before)))"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.splitlines()[-1].split())  # the command prints too
+    if loads:
+        assert loads <= loaded, loaded
+    else:
+        assert loaded == set(), loaded
 
 
 def test_cli_entry_freezes_the_collector(tmp_path):
