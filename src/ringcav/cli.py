@@ -408,6 +408,13 @@ def _run_empty_cavity(r: dict) -> list:
         inputs = [r["data"]]
     else:
         _check_points(r["points"])
+        # a truth outside the model's bounds, such as a vanishing FSR, would
+        # overflow the ring's phase; it could not be fit back either
+        for name, value in r["truth"].items():
+            lo, hi = fitting.MODELS["empty_ring"].bounds[name]
+            if not (lo <= value <= hi):
+                raise ValueError(f"{name} must be in [{lo!r}, {hi!r}] to synthesize, "
+                                 f"got {value!r}")
         half = r["span_mhz"] / 2.0
         grid = np.linspace(-half, half, r["points"])
         data = fitting.generate_synthetic(spec, grid, r["truth"],
@@ -496,24 +503,20 @@ def _run_lock(r: dict) -> list:
         dt=r["dt_s"] if r["dt_s"] is not None else base.dt,
     )
     mode = r["mode"]
-    disturbance = None
-    if mode == "step":
-        disturbance = thermal.step_disturbance(r["step_at_s"],
-                                               r["step_linewidths"] * cavity.fwhm_hz)
-    elif mode != "hold":
+    if mode not in ("hold", "step"):
         span = r["span_mhz"] * 1e6 if r["span_mhz"] is not None else None
         rate, span = thermal.scan_window(therm, cavity, r["scan_rate_hz_per_s"], span)
-    # the step and the scan window are checked above, with the library's own
-    # messages; an option the mode does not read would otherwise reach only
-    # the manifest
+    # the thermal and lock settings and a scan's window are checked above,
+    # with the library's own messages; an option the mode does not read would
+    # otherwise reach only the manifest
     _check_finite(r)
     out = Path(r["output"])
     metrics_path = out.with_name(out.stem + "_metrics.json")
     outputs = [out, metrics_path]
 
     if mode in ("hold", "step"):
-        series = thermal.lock_loop(r["duration_s"], therm, config, cavity,
-                                   disturbance=disturbance)
+        step = (r["step_at_s"], r["step_linewidths"] * cavity.fwhm_hz) if mode == "step" else None
+        series = thermal.lock_loop(r["duration_s"], therm, config, cavity, step=step)
         io.write_timeseries_csv(out, series)
         metrics = dict(series.metrics)
     elif mode == "scan-both":

@@ -14,7 +14,8 @@ stable operating point for a heater parked there.
 
 The active lock regulates the resonance to a side-of-fringe setpoint of a
 weak probe: an integral controller steers the heater laser frequency from the
-probe transmission error. Integration is explicit Euler under the
+probe transmission error, and holds it through a step in the resonance
+position, given as its time and size. Integration is explicit Euler under the
 dt < tau_th/10 contract. The controller integrates per unit time
 (integral += gain_i * error * dt), so halving dt does not change the loop
 dynamics.
@@ -25,6 +26,7 @@ they are demonstration values chosen to show the phenomenology.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -274,17 +276,9 @@ def scan_window(thermal: ThermalParams, cavity: CavityParams,
 def scan_pair(thermal: ThermalParams, config: LockConfig, cavity: CavityParams,
               scan_rate: float | None = None, span_hz: float | None = None):
     """(down, up, ratio): mirrored scans over one scan_window and their dwell ratio down/up."""
-    scan_rate, span_hz = scan_window(thermal, cavity, scan_rate, span_hz)
     down = scan_experiment("down", scan_rate, span_hz, thermal, config, cavity)
     up = scan_experiment("up", scan_rate, span_hz, thermal, config, cavity)
     return down, up, down.metrics["dwell_s"] / up.metrics["dwell_s"]
-
-
-def scan_dwell_ratio(thermal: ThermalParams, config: LockConfig, cavity: CavityParams,
-                     scan_rate: float | None = None, span_hz: float | None = None):
-    """(down_dwell, up_dwell, ratio) for mirrored scans; ratio is down/up (see scan_pair)."""
-    down, up, ratio = scan_pair(thermal, config, cavity, scan_rate, span_hz)
-    return down.metrics["dwell_s"], up.metrics["dwell_s"], ratio
 
 
 def equilibrium_detuning(target_offset_hz: float, thermal: ThermalParams,
@@ -309,7 +303,7 @@ def equilibrium_detuning(target_offset_hz: float, thermal: ThermalParams,
 
 
 def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
-              cavity: CavityParams, disturbance=None) -> TimeSeries:
+              cavity: CavityParams, step=None) -> TimeSeries:
     """Closed-loop resonance stabilization to a side-of-fringe probe setpoint.
 
     Geometry: the cold resonance sits LOCK_OFFSET_LINEWIDTHS above the probe
@@ -319,10 +313,11 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     gain_i * (T_probe - setpoint) * dt, which reduces heating when the probe
     transmission is high (resonance too far red) and vice versa.
 
-    disturbance: optional callable t -> Hz added to the resonance position as
-    an exogenous perturbation. Raises LockLost if the probe transmission
-    stays outside setpoint +- CAPTURE_BAND * depth (the bare-cavity dip depth)
-    for more than CAPTURE_PATIENCE consecutive steps.
+    step: optional (t0_s, size_hz), an exogenous perturbation that adds 0 Hz
+    to the resonance position before t0_s and size_hz from t0_s on, both
+    finite. Raises LockLost if the probe transmission stays outside
+    setpoint +- CAPTURE_BAND * depth (the bare-cavity dip depth) for more
+    than CAPTURE_PATIENCE consecutive steps.
 
     Metrics: rms transmission error, rms resonance error (Hz), re-lock time
     (duration of the out-of-band resonance excursion, 5% of a linewidth
@@ -331,6 +326,9 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     _check_dt(config, thermal)
     if not (0 < duration_s < math.inf):
         raise ValueError(f"duration must be finite and > 0, got {duration_s!r}")
+    t0_s, size_hz = (0.0, 0.0) if step is None else step
+    if not (math.isfinite(t0_s) and math.isfinite(size_hz)):
+        raise ValueError(f"step time {t0_s!r} s and size {size_hz!r} Hz must be finite")
     w = cavity.fwhm_hz
     depth = dip_depth(cavity)
     if not (1.0 - depth < config.setpoint < 1.0):
@@ -353,15 +351,17 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     # operation order of _dip, _lorentzian and the explicit Euler step, and
     # records the resonance position and the integral; every other column is
     # derived from them below. The position record starts out holding the
-    # disturbance at k * dt (time_s[k] exactly), which each step adds to the
-    # offset and then overwrites.
+    # step at each k * dt (time_s[k] exactly), 0.0 before the first k with
+    # k * dt >= t0_s and size_hz from it on, which each step adds to the
+    # offset and then overwrites. k * dt never decreases with k, so bisect
+    # finds that first k.
     peak = config.heater_power * buildup_factor(cavity)
     setpoint = config.setpoint
     gain_i = config.gain_i
     shift = thermal.shift_coefficient
     rate = dt / thermal.tau_th
-    res_rec = (array("d", [0.0]) * n if disturbance is None
-               else array("d", [float(disturbance(k * dt)) for k in range(n)]))
+    k0 = bisect.bisect_left(range(n), t0_s, key=lambda k: k * dt)
+    res_rec = array("d", [0.0]) * k0 + array("d", [size_hz]) * (n - k0)
     integral_rec = array("d", [0.0]) * n
     off = target_offset
     integral = 0.0
@@ -409,13 +409,6 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
         probe_transmission=t_probe,
         metrics=metrics,
     )
-
-
-def step_disturbance(t0_s: float, size_hz: float):
-    """Step perturbation: 0 before t0_s, size_hz after."""
-    if not (math.isfinite(t0_s) and math.isfinite(size_hz)):
-        raise ValueError(f"step time {t0_s!r} s and size {size_hz!r} Hz must be finite")
-    return lambda t: size_hz if t >= t0_s else 0.0
 
 
 def default_lock_config(cavity: CavityParams, thermal: ThermalParams) -> LockConfig:

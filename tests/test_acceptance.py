@@ -332,6 +332,11 @@ def test_criterion_09_fitter_roundtrips():
     assert ok
 
 
+def _dwells(down, up, ratio):
+    """scan_pair's down and up dwell times (s), and their ratio down/up."""
+    return down.metrics["dwell_s"], up.metrics["dwell_s"], ratio
+
+
 def test_criterion_10_thermal_lock_properties():
     """Dwell asymmetry >= 2 with defaults and exactly 1 at zero absorption;
     re-lock after a 0.5-linewidth step within 10 tau_th; halving dt moves
@@ -343,27 +348,27 @@ def test_criterion_10_thermal_lock_properties():
     therm = thermal.ThermalParams()
     config = thermal.default_lock_config(cavity, therm)
 
-    down, up, ratio = thermal.scan_dwell_ratio(therm, config, cavity)
+    down, up, ratio = _dwells(*thermal.scan_pair(therm, config, cavity))
     ok_ratio = ratio >= 2.0
     cold = thermal.ThermalParams(absorption_fraction=0.0)
-    _, _, ratio0 = thermal.scan_dwell_ratio(cold, config, cavity)
+    _, _, ratio0 = _dwells(*thermal.scan_pair(cold, config, cavity))
     ok_zero = ratio0 == 1.0
 
-    dist = thermal.step_disturbance(0.1, 0.5 * cavity.fwhm_hz)
-    series = thermal.lock_loop(0.4, therm, config, cavity, disturbance=dist)
+    step = (0.1, 0.5 * cavity.fwhm_hz)
+    series = thermal.lock_loop(0.4, therm, config, cavity, step=step)
     relock = series.metrics["relock_time_s"]
     ok_relock = relock < 10.0 * therm.tau_th
 
     half = replace(config, dt=config.dt / 2.0)
-    down_h, up_h, ratio_h = thermal.scan_dwell_ratio(therm, half, cavity)
-    series_h = thermal.lock_loop(0.4, therm, half, cavity, disturbance=dist)
+    down_h, up_h, ratio_h = _dwells(*thermal.scan_pair(therm, half, cavity))
+    series_h = thermal.lock_loop(0.4, therm, half, cavity, step=step)
     d_down = abs(down_h - down) / down
     d_final = abs(
         series_h.metrics["final_resonance_offset_hz"]
         - series.metrics["final_resonance_offset_hz"]
     ) / abs(series.metrics["final_resonance_offset_hz"])
     quarter = replace(config, dt=config.dt / 4.0)
-    _, up_q, _ = thermal.scan_dwell_ratio(therm, quarter, cavity)
+    _, up_q, _ = _dwells(*thermal.scan_pair(therm, quarter, cavity))
     d_up_fine = abs(up_q - up_h) / up_h
     ok_dt = d_down < 0.01 and d_final < 0.01 and d_up_fine < 0.01 and ratio_h >= 2.0
 

@@ -6,7 +6,7 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringcav import cli, errors, fitting, io, thermal
@@ -345,6 +345,19 @@ def test_lock_step_cap_exits_2_before_allocating(runner, tmp_path, monkeypatch, 
     assert f"more than MAX_STEPS={thermal.MAX_STEPS}" in result.stderr
 
 
+def test_lock_step_overflowing_to_inf_exits_2_before_allocating(runner, tmp_path,
+                                                               monkeypatch):
+    # 1e308 linewidths is a finite option whose size in Hz is inf
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(thermal, "np", _NoAllocation())
+    monkeypatch.setattr(thermal, "array", _NoAllocation())
+    result = runner.invoke(main, ["lock", "--mode", "step", "--step-linewidths", "1e308"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: step time 0.1 s and size inf Hz must be finite" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["spectrum", "saturation", "empty-cavity"])
 def test_grid_point_cap_exits_2_before_allocating(runner, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
@@ -406,6 +419,26 @@ def test_non_finite_float_options_exit_2_before_any_work(runner, tmp_path, monke
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ") and "must be finite" in result.stderr
+    assert not caught
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, value", [("--fsr-mhz", "5e-324"),
+                                           ("--nu0-mhz", "-1.7976931348623157e+308")])
+def test_empty_cavity_truth_outside_the_bounds_exits_2_before_any_work(runner, tmp_path,
+                                                                     monkeypatch, option,
+                                                                     value):
+    # the ring's phase 2 pi (nu - nu0) / fsr would overflow on the grid
+    monkeypatch.chdir(tmp_path)
+    name = option[2:].replace("-", "_")
+    lo, hi = fitting.MODELS["empty_ring"].bounds[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["empty-cavity", option, value])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == (f"error: {name} must be in [{lo!r}, {hi!r}] to synthesize, "
+                             f"got {float(value)!r}\n")
     assert not caught
     assert not list(tmp_path.iterdir())
 
@@ -748,11 +781,9 @@ def test_fitspec_rejects_non_numbers(slot, value):
     assert "must be a" in result.stderr
 
 
-_EDGE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -1.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300,
-                     float("nan"), float("inf"), float("-inf")]),
-    st.floats(),
-)
+_EDGE_VALUES = st.sampled_from([0.0, -1.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300,
+                                float("nan"), float("inf"), float("-inf")])
+_EDGE_FLOATS = st.one_of(_EDGE_VALUES, st.floats())
 _EMPTY_CAVITY_OPTIONS = {
     **{option: _EDGE_FLOATS for option in ("--finesse", "--fsr-mhz", "--dip-transmission",
                                            "--nu0-mhz", "--span-mhz", "--noise")},
@@ -769,6 +800,39 @@ _EMPTY_CAVITY_OPTIONS = {
            {name: _EMPTY_CAVITY_OPTIONS[name] for name in names})))
 def test_empty_cavity_runs_or_exits_with_a_documented_code(options):
     args = ["empty-cavity", "--points", "301"]  # a later --points wins
+    for option, value in options.items():
+        args += [option, str(value)]
+    result = _invoke_in_scratch_dir({}, args)
+    assert result.exit_code in {0, 2, 3, 4, 5, 6}, (args, result.output, result.exception)
+    assert "Traceback" not in result.stderr
+
+
+# every option that sets a step count is drawn from a window of at most about
+# 10**5 steps, or from the edge values, whose counts are a few steps or past
+# MAX_STEPS; when not drawn, each is given a cheap value, because the default
+# dt (tau_th / 40) and scan rate follow a drawn tau_th
+_LOCK_SIZES = {
+    "--duration-s": (0.2, st.one_of(_EDGE_VALUES, st.floats(1e-3, 0.5))),
+    "--dt-s": (2.5e-4, st.one_of(_EDGE_VALUES, st.floats(2.5e-5, 1e-3))),
+    "--scan-rate-hz-per-s": (1e9, st.one_of(_EDGE_VALUES, st.floats(1e8, 1e11))),
+    "--span-mhz": (30.0, st.one_of(_EDGE_VALUES, st.floats(1.0, 300.0))),
+}
+_LOCK_OPTIONS = {
+    **{option: _EDGE_FLOATS for option in _LOCK_FLOATS if option not in _LOCK_SIZES},
+    **{option: drawn for option, (_, drawn) in _LOCK_SIZES.items()},
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from(["hold", "step", "scan-up", "scan-down", "scan-both"]),
+       options=st.lists(st.sampled_from(sorted(_LOCK_OPTIONS)), max_size=3, unique=True)
+       .flatmap(lambda names: st.fixed_dictionaries(
+           {name: _LOCK_OPTIONS[name] for name in names})))
+@example(mode="step", options={"--step-linewidths": 1e308})  # a step of inf Hz
+def test_lock_runs_or_exits_with_a_documented_code(mode, options):
+    args = ["lock", "--mode", mode]
+    for option, (cheap, _) in _LOCK_SIZES.items():
+        args += [option, str(cheap)]  # a later drawn value wins
     for option, value in options.items():
         args += [option, str(value)]
     result = _invoke_in_scratch_dir({}, args)

@@ -30,7 +30,6 @@ SRC = Path(ringcav.__file__).resolve().parent
 
 # public helpers outside __all__ that nothing under src/ calls, each with its user
 KEPT = {
-    "scan_dwell_ratio",  # criterion 10's dwell asymmetry
     "power_from_drive",  # the inverse conversion DriveParams' docstring names
     "objective",  # the weighted residual sum of squares a fit minimises
 }

@@ -146,8 +146,8 @@ def test_warm_lock_point_is_stable_discrete_map(cavity, therm, config):
 
 
 def test_scan_dwell_asymmetry(cavity, therm, config):
-    down, up, ratio = thermal.scan_dwell_ratio(therm, config, cavity)
-    assert down > up
+    down, up, ratio = thermal.scan_pair(therm, config, cavity)
+    assert down.metrics["dwell_s"] > up.metrics["dwell_s"]
     assert ratio >= 2.0
 
 
@@ -155,7 +155,7 @@ def test_fast_scan_pair_is_too_coarse(cavity, therm, config):
     # at 1e11 Hz/s each step moves the heater about 6 linewidths: neither scan
     # rises above half buildup, and a dwell of 0 would divide the ratio
     with pytest.raises(StepTooCoarse, match=r"scan_rate=100000000000\.0 Hz/s and dt=0\.00025 s"):
-        thermal.scan_dwell_ratio(therm, config, cavity, scan_rate=1e11)
+        thermal.scan_pair(therm, config, cavity, scan_rate=1e11)
 
 
 def test_step_cap_counts_both_ends():
@@ -188,16 +188,16 @@ def test_lock_settings_must_be_finite(cavity, therm, config, bad):
     for rate, span, name in ((bad, 300e6, "scan_rate"), (1e9, bad, "span")):
         with pytest.raises(invalid, match=name):
             thermal.scan_experiment("down", rate, span, therm, config, cavity)
-    for t0, size in ((bad, 1e6), (0.1, bad)):
-        with pytest.raises(ValueError, match="must be finite"):
-            thermal.step_disturbance(t0, size)
+    for step in ((bad, 1e6), (0.1, bad)):
+        with pytest.raises(ValueError, match=r"step time .* s and size .* Hz must be finite"):
+            thermal.lock_loop(0.1, therm, config, cavity, step=step)
 
 
 def test_scan_zero_absorption_symmetric(cavity, config):
     cold = thermal.ThermalParams(absorption_fraction=0.0)
-    down, up, ratio = thermal.scan_dwell_ratio(cold, config, cavity)
+    down, up, ratio = thermal.scan_pair(cold, config, cavity)
     assert ratio == 1.0
-    assert down == up
+    assert down.metrics["dwell_s"] == up.metrics["dwell_s"]
 
 
 def test_scan_requires_span(cavity, therm, config):
@@ -232,8 +232,7 @@ def test_lock_loop_holds_setpoint(cavity, therm, config):
 
 
 def test_lock_loop_relocks_after_step(cavity, therm, config):
-    dist = thermal.step_disturbance(0.1, 0.5 * cavity.fwhm_hz)
-    series = thermal.lock_loop(0.4, therm, config, cavity, disturbance=dist)
+    series = thermal.lock_loop(0.4, therm, config, cavity, step=(0.1, 0.5 * cavity.fwhm_hz))
     m = series.metrics
     assert m["relock_time_s"] < 10.0 * therm.tau_th
     assert m["max_resonance_error_hz"] == pytest.approx(0.5 * cavity.fwhm_hz, rel=1e-9)
@@ -241,9 +240,8 @@ def test_lock_loop_relocks_after_step(cavity, therm, config):
 
 
 def test_lock_lost_on_large_step(cavity, therm, config):
-    dist = thermal.step_disturbance(0.05, 30.0 * cavity.fwhm_hz)
     with pytest.raises(LockLost) as exc_info:
-        thermal.lock_loop(0.5, therm, config, cavity, disturbance=dist)
+        thermal.lock_loop(0.5, therm, config, cavity, step=(0.05, 30.0 * cavity.fwhm_hz))
     assert exc_info.value.time_s is not None
     assert exc_info.value.time_s >= 0.05
 
@@ -251,9 +249,8 @@ def test_lock_lost_on_large_step(cavity, therm, config):
 def test_lock_lost_at_excessive_gain(cavity, therm, config):
     # the loop starts at its fixed point, so instability needs a seed
     hot = replace(config, gain_i=1e12)
-    dist = thermal.step_disturbance(0.02, 0.1 * cavity.fwhm_hz)
     with pytest.raises(LockLost):
-        thermal.lock_loop(0.5, therm, hot, cavity, disturbance=dist)
+        thermal.lock_loop(0.5, therm, hot, cavity, step=(0.02, 0.1 * cavity.fwhm_hz))
 
 
 def test_lock_deterministic(cavity, therm, config):
@@ -353,7 +350,7 @@ def _replay_scan(direction, scan_rate, span_hz, therm, config, cavity):
                               thermal.probe_transmission(detuning, cavity), metrics)
 
 
-def _replay_lock(duration_s, therm, config, cavity, disturbance=None):
+def _replay_lock(duration_s, therm, config, cavity, step=None):
     w = cavity.fwhm_hz
     depth = thermal.dip_depth(cavity)
     target_offset = -10.0 * w
@@ -366,8 +363,11 @@ def _replay_lock(duration_s, therm, config, cavity, disturbance=None):
     time_s = np.arange(n) * dt
     detuning, offset_rec, p_circ, t_probe = (np.empty(n) for _ in range(4))
     off, integral, out_of_band = target_offset, 0.0, 0
+    # the step as a function of time, asked at each step's time_s[k]
+    t0, size = (math.inf, 0.0) if step is None else step
+    disturbance = lambda t: size if t >= t0 else 0.0
     for k in range(n):
-        d_ext = float(disturbance(time_s[k])) if disturbance is not None else 0.0
+        d_ext = float(disturbance(time_s[k]))
         res_pos = off + d_ext
         t_p = thermal.probe_transmission(nu_probe - res_pos, cavity)
         err = t_p - config.setpoint
@@ -420,10 +420,10 @@ def test_scan_matches_step_by_step_replay(cavity, therm, config, direction):
 
 
 def test_lock_step_matches_step_by_step_replay(cavity, therm, config):
-    dist = thermal.step_disturbance(0.1, 0.4 * cavity.fwhm_hz)
-    series = thermal.lock_loop(0.4, therm, config, cavity, disturbance=dist)
+    step = (0.1, 0.4 * cavity.fwhm_hz)
+    series = thermal.lock_loop(0.4, therm, config, cavity, step=step)
     assert series.metrics["relock_time_s"] > 0.0
-    _assert_same_series(series, _replay_lock(0.4, therm, config, cavity, disturbance=dist))
+    _assert_same_series(series, _replay_lock(0.4, therm, config, cavity, step=step))
 
 
 def test_lock_hold_matches_step_by_step_replay(cavity, therm, config):
@@ -432,11 +432,11 @@ def test_lock_hold_matches_step_by_step_replay(cavity, therm, config):
 
 
 def test_lock_lost_matches_step_by_step_replay(cavity, therm, config):
-    dist = thermal.step_disturbance(0.05, 30.0 * cavity.fwhm_hz)
+    step = (0.05, 30.0 * cavity.fwhm_hz)
     with pytest.raises(LockLost) as got:
-        thermal.lock_loop(0.5, therm, config, cavity, disturbance=dist)
+        thermal.lock_loop(0.5, therm, config, cavity, step=step)
     with pytest.raises(LockLost) as want:
-        _replay_lock(0.5, therm, config, cavity, disturbance=dist)
+        _replay_lock(0.5, therm, config, cavity, step=step)
     assert str(got.value) == str(want.value)
     assert got.value.time_s == want.value.time_s
     assert type(got.value.time_s) is float
@@ -450,18 +450,31 @@ def _outcome(run, *args, **kwargs):
         return lost
 
 
+# a step time on the default lock's integrator grid; at duration 0.5,
+# step_at * duration is 2 * _GRID_T0 * 0.5 == _GRID_T0 exactly
+_GRID_T0 = 200 * (thermal.ThermalParams().tau_th / 40.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(duration=st.floats(0.01, 0.5), step_linewidths=st.floats(0.0, 30.0),
        step_at=st.floats(0.0, 1.0), log_gain=st.floats(8.0, 11.0),
        heater_power=st.floats(1.2e-3, 8e-3))
+@example(duration=0.5, step_linewidths=0.4, step_at=2 * _GRID_T0, log_gain=9.0,
+         heater_power=2e-3)  # on a grid time
+@example(duration=0.5, step_linewidths=0.4, step_at=2 * math.nextafter(_GRID_T0, 0.0),
+         log_gain=9.0, heater_power=2e-3)  # one ulp below a grid time
+@example(duration=0.5, step_linewidths=0.4, step_at=-0.5, log_gain=9.0,
+         heater_power=2e-3)  # before the start
+@example(duration=0.5, step_linewidths=0.4, step_at=2.0, log_gain=9.0,
+         heater_power=2e-3)  # past the end
 def test_lock_matches_replay_on_drawn_settings(cavity, therm, config, duration,
                                                step_linewidths, step_at, log_gain,
                                                heater_power):
     # large steps and high gains lose the lock: the message and time must match too
     drawn = replace(config, gain_i=10.0 ** log_gain, heater_power=heater_power)
-    dist = thermal.step_disturbance(step_at * duration, step_linewidths * cavity.fwhm_hz)
-    got = _outcome(thermal.lock_loop, duration, therm, drawn, cavity, disturbance=dist)
-    want = _outcome(_replay_lock, duration, therm, drawn, cavity, disturbance=dist)
+    step = (step_at * duration, step_linewidths * cavity.fwhm_hz)
+    got = _outcome(thermal.lock_loop, duration, therm, drawn, cavity, step=step)
+    want = _outcome(_replay_lock, duration, therm, drawn, cavity, step=step)
     if isinstance(want, LockLost):
         assert isinstance(got, LockLost)
         assert str(got) == str(want)
