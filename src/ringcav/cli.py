@@ -397,6 +397,11 @@ def fit(fitspec_path, **options):
 
 _EMPTY_FREE = ("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz")
 
+#: most FSRs of its truth a synthesized empty-cavity scan may span: the
+#: default 340 MHz covers 2.3 at the reference 148 MHz, and at 1e300 MHz the
+#: fit's jacobian column norms and squared singular values overflow
+MAX_SYNTH_FSRS = 1000
+
 
 def _run_empty_cavity(r: dict) -> list:
     _check_finite(r)
@@ -415,6 +420,11 @@ def _run_empty_cavity(r: dict) -> list:
             if not (lo <= value <= hi):
                 raise ValueError(f"{name} must be in [{lo!r}, {hi!r}] to synthesize, "
                                  f"got {value!r}")
+        fsrs = abs(r["span_mhz"]) / r["truth"]["fsr_mhz"]
+        if not (fsrs <= MAX_SYNTH_FSRS):
+            raise ValueError(f"span_mhz {r['span_mhz']!r} covers {fsrs:.3g} FSRs of "
+                             f"fsr_mhz={r['truth']['fsr_mhz']!r}, more than "
+                             f"MAX_SYNTH_FSRS={MAX_SYNTH_FSRS}")
         half = r["span_mhz"] / 2.0
         grid = np.linspace(-half, half, r["points"])
         data = fitting.generate_synthetic(spec, grid, r["truth"],

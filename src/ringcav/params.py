@@ -9,6 +9,7 @@ each group, and needs every NOMINAL key outside the groups.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -101,12 +102,16 @@ class EnsembleParams:
         return self.gamma_par / 2.0 + self.gamma_d
 
 
+#: largest dimensionless drive amplitude whose square, the cubic's y**2, is a finite float
+MAX_Y = math.sqrt(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Probe drive: power or dimensionless amplitude.
 
-    Exactly one of ``input_power`` (W) and ``y`` (dimensionless, real >= 0)
-    is set; conversion between them is always an explicit call to
+    Exactly one of ``input_power`` (W) and ``y`` (dimensionless, in
+    [0, MAX_Y]) is set; conversion between them is always an explicit call to
     steady_state.drive_from_power / power_from_drive. The detunings are not
     drive settings: steady_state.spectrum derives them from the scanned probe
     frequency and the atomic resonance offset.
@@ -125,6 +130,8 @@ class DriveParams:
             raise NonPositiveRate(f"input_power must be >= 0, got {self.input_power!r}")
         if self.y is not None and not (self.y >= 0):
             raise NonPositiveRate(f"y must be real >= 0, got {self.y!r}")
+        if self.y is not None and not (self.y <= MAX_Y):
+            raise ValueError(f"y must be <= MAX_Y={MAX_Y!r}, where y**2 is finite, got {self.y!r}")
 
 
 # reference values of the system this package models, external-unit form

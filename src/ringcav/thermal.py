@@ -50,6 +50,12 @@ CAPTURE_BAND = 0.45
 #: is allocated
 MAX_STEPS = 10 ** 7
 
+#: widest resonance displacement, in cold linewidths, that a run accepts: the
+#: heater's full-buildup thermal pull, and a lock's step. Within it, every
+#: squared Lorentzian argument of a run stays finite wherever its span (scans)
+#: or its controller's reach (lock_loop) is representable
+MAX_SHIFT_LINEWIDTHS = 1e6
+
 
 @dataclass(frozen=True)
 class ThermalParams:
@@ -118,6 +124,21 @@ def _step_count(duration_s: float, dt: float) -> int:
         raise ValueError(f"{duration_s!r} s of integration at dt={dt!r} s needs {count} "
                          f"steps, more than MAX_STEPS={MAX_STEPS}")
     return int(math.ceil(steps)) + 1
+
+
+def _check_wide(name: str, reach_hz: float, w: float):
+    """Refuse a reach whose Lorentzian argument x = 2 reach / w has a non-finite (2x)^2."""
+    x = 2.0 * reach_hz / w
+    if not math.isfinite((2.0 * x) * (2.0 * x)):
+        raise ValueError(f"{name} of {reach_hz!r} Hz is {reach_hz / w:.3g} linewidths, too "
+                         f"wide: (2x)^2, x = 2 * {reach_hz!r} Hz / linewidth, is not finite")
+
+
+def _check_shift(name: str, shift_hz: float, w: float):
+    """Refuse a resonance displacement wider than MAX_SHIFT_LINEWIDTHS."""
+    if not (abs(shift_hz) <= MAX_SHIFT_LINEWIDTHS * w):
+        raise ValueError(f"{name} of {shift_hz!r} Hz is {abs(shift_hz) / w:.3g} linewidths, "
+                         f"more than MAX_SHIFT_LINEWIDTHS={MAX_SHIFT_LINEWIDTHS:g}")
 
 
 def buildup_factor(cavity: CavityParams) -> float:
@@ -195,10 +216,13 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     dwell_s: the time spent above half the resonant buildup, the standard
     measure of how long the scan stayed coupled to the (pulled) resonance.
 
-    A scan that never rises above half buildup has no dwell to measure. It
-    raises StepTooCoarse when the laser crossed the resonance (each step
-    jumps past it), and ValueError when the heating pulled the resonance out
-    of the window ahead of the laser.
+    Before it steps, a scan refuses (ValueError) a span whose (2x)^2, x =
+    2 span / linewidth, is not finite and a full-buildup pull wider than
+    MAX_SHIFT_LINEWIDTHS, and (StepTooCoarse) a step that moves the laser
+    farther than the span. A scan that never rises above half buildup has no
+    dwell to measure. It raises StepTooCoarse when the laser crossed the
+    resonance (each step jumps past it), and ValueError when the heating
+    pulled the resonance out of the window ahead of the laser.
     """
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
@@ -207,6 +231,18 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     if config.heater_power == 0.0:
         raise ValueError("heater_power is 0 W: there is no buildup for the scan to dwell on")
     dt = config.dt
+    w = cavity.fwhm_hz
+    peak = config.heater_power * buildup_factor(cavity)
+    shift = thermal.shift_coefficient
+    # the laser ends within 1.5 spans of the centre and the resonance within
+    # MAX_SHIFT_LINEWIDTHS of the cold one, so every detuning's Lorentzian
+    # argument stays below 2x, x = 2 span / linewidth, or below about 10**7
+    _check_wide("span", span_hz, w)
+    _check_shift("the heater's full-buildup pull", shift * peak, w)
+    if not (scan_rate * dt <= span_hz):
+        raise StepTooCoarse(f"one step of dt={dt!r} s at scan_rate={scan_rate!r} Hz/s moves "
+                            f"the laser {scan_rate * dt!r} Hz, farther than the span of "
+                            f"{span_hz!r} Hz")
     n = _step_count(span_hz / scan_rate, dt)
     sign = -1.0 if direction == "down" else 1.0
     nu_start = span_hz / 2.0 if direction == "down" else -span_hz / 2.0
@@ -218,9 +254,6 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     # _lorentzian and the explicit Euler step, and records it; the other
     # columns are derived from it below. nu_start + slope * (k * dt) is
     # heater_freq[k] exactly.
-    peak = config.heater_power * buildup_factor(cavity)
-    w = cavity.fwhm_hz
-    shift = thermal.shift_coefficient
     rate = dt / thermal.tau_th
     rec = array("d", [0.0]) * n
     off = 0.0
@@ -317,7 +350,16 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     to the resonance position before t0_s and size_hz from t0_s on, both
     finite. Raises LockLost if the probe transmission stays outside
     setpoint +- CAPTURE_BAND * depth (the bare-cavity dip depth) for more
-    than CAPTURE_PATIENCE consecutive steps.
+    than CAPTURE_PATIENCE consecutive steps. Refuses (ValueError) a step or a
+    full-buildup heater pull wider than MAX_SHIFT_LINEWIDTHS, and a gain
+    whose reach over the run, |gain_i| * dt per step, has a non-finite
+    (2x)^2, x = 2 reach / linewidth.
+
+    Before and after the step the loop integrates only until its float state
+    (resonance offset, integral) reaches a fixed point, a step that leaves it
+    unchanged, and repeats that state for the rest of the segment, raising
+    LockLost at the step where the out-of-band streak would run out; the
+    record is bit for bit the one the step-by-step loop makes.
 
     Metrics: rms transmission error, rms resonance error (Hz), re-lock time
     (duration of the out-of-band resonance excursion, 5% of a linewidth
@@ -330,6 +372,7 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     if not (math.isfinite(t0_s) and math.isfinite(size_hz)):
         raise ValueError(f"step time {t0_s!r} s and size {size_hz!r} Hz must be finite")
     w = cavity.fwhm_hz
+    _check_shift("the step", size_hz, w)
     depth = dip_depth(cavity)
     if not (1.0 - depth < config.setpoint < 1.0):
         raise ValueError(
@@ -339,51 +382,76 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     # probe detuning from resonance realizing the setpoint, blue flank
     dp = 0.5 * w * math.sqrt(depth / (1.0 - config.setpoint) - 1.0)
     nu_probe = target_offset + dp
+    peak = config.heater_power * buildup_factor(cavity)
+    shift = thermal.shift_coefficient
+    _check_shift("the heater's full-buildup pull", shift * peak, w)
     dh0 = equilibrium_detuning(target_offset, thermal, config, cavity)
     heater_base = target_offset + dh0
     capture_band = CAPTURE_BAND * depth
 
     dt = config.dt
     n = _step_count(duration_s, dt)
+    # each step moves the heater by gain_i * err * dt, |err| < 1
+    _check_wide("the integral's reach", abs(config.gain_i) * dt * n, w)
     time_s = np.arange(n) * dt
 
     # the loop carries only the resonance offset and the integral, in the
     # operation order of _dip, _lorentzian and the explicit Euler step, and
     # records the resonance position and the integral; every other column is
-    # derived from them below. The position record starts out holding the
-    # step at each k * dt (time_s[k] exactly), 0.0 before the first k with
-    # k * dt >= t0_s and size_hz from it on, which each step adds to the
-    # offset and then overwrites. k * dt never decreases with k, so bisect
-    # finds that first k.
-    peak = config.heater_power * buildup_factor(cavity)
+    # derived from them below. The step adds 0.0 to the offset at each k with
+    # k * dt < t0_s (time_s[k] exactly) and size_hz from the first k with
+    # k * dt >= t0_s on; k * dt never decreases with k, so bisect finds that
+    # first k, k0. Within each of the two constant-disturbance segments, a
+    # step that leaves (off, integral) unchanged, compared with ==, is a fixed
+    # point: every later step of the segment records the same values and
+    # meets the same error, so the loop fills the rest of the segment from it
+    # and advances the out-of-band streak arithmetically. A NaN state never
+    # compares equal and a cycling one never repeats its predecessor; both
+    # are integrated step by step.
     setpoint = config.setpoint
     gain_i = config.gain_i
-    shift = thermal.shift_coefficient
     rate = dt / thermal.tau_th
     k0 = bisect.bisect_left(range(n), t0_s, key=lambda k: k * dt)
-    res_rec = array("d", [0.0]) * k0 + array("d", [size_hz]) * (n - k0)
+    res_rec = array("d", [0.0]) * n
     integral_rec = array("d", [0.0]) * n
     off = target_offset
     integral = 0.0
     out_of_band = 0
-    for k, d_ext in enumerate(res_rec):
-        res_pos = off + d_ext
-        x = 2.0 * (nu_probe - res_pos) / w
-        err = (1.0 - depth / (1.0 + x * x)) - setpoint
-        if abs(err) > capture_band:
-            out_of_band += 1
-            if out_of_band > CAPTURE_PATIENCE:
-                raise LockLost(
-                    f"probe transmission out of capture range for {out_of_band} steps",
-                    time_s=k * dt,
-                )
+    for start, end, d_ext in ((0, k0, 0.0), (k0, n, size_hz)):
+        for k in range(start, end):
+            res_pos = off + d_ext
+            x = 2.0 * (nu_probe - res_pos) / w
+            err = (1.0 - depth / (1.0 + x * x)) - setpoint
+            if abs(err) > capture_band:
+                out_of_band += 1
+                if out_of_band > CAPTURE_PATIENCE:
+                    raise LockLost(
+                        f"probe transmission out of capture range for {out_of_band} steps",
+                        time_s=k * dt,
+                    )
+            else:
+                out_of_band = 0
+            last_off, last_integral = off, integral
+            integral += gain_i * err * dt
+            x = 2.0 * ((heater_base + integral) - res_pos) / w
+            off = off + rate * (shift * (peak / (1.0 + x * x)) - off)
+            res_rec[k] = res_pos
+            integral_rec[k] = integral
+            if off == last_off and integral == last_integral:
+                break
         else:
-            out_of_band = 0
-        integral += gain_i * err * dt
-        x = 2.0 * ((heater_base + integral) - res_pos) / w
-        off = off + rate * (shift * (peak / (1.0 + x * x)) - off)
-        res_rec[k] = res_pos
-        integral_rec[k] = integral
+            continue
+        rest = end - k - 1
+        if out_of_band:
+            lost = k + CAPTURE_PATIENCE + 1 - out_of_band
+            if lost < end:
+                raise LockLost(
+                    f"probe transmission out of capture range for {CAPTURE_PATIENCE + 1} steps",
+                    time_s=lost * dt,
+                )
+            out_of_band += rest
+        res_rec[k + 1:end] = array("d", [res_pos]) * rest
+        integral_rec[k + 1:end] = array("d", [integral]) * rest
 
     offset_rec = np.frombuffer(res_rec)
     heater_freq = np.frombuffer(integral_rec)

@@ -319,6 +319,28 @@ def test_lock_fast_scan_both_exits_2(runner, tmp_path, monkeypatch, rate, messag
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, message", [
+    # the heating would drag the resonance about 2e289 linewidths
+    (["--shift-per-watt", "-1e300"], "full-buildup pull of "),
+    # one step moves the laser about 1e296 Hz
+    (["--scan-rate-hz-per-s", "1e300"], "moves the laser 2.5e+296 Hz, farther than the span"),
+    (["--span-mhz", "1e300"], "span of 1e+306 Hz is 2.3e+299 linewidths, too wide"),
+])
+def test_lock_scan_beyond_representable_detunings_exits_2(runner, tmp_path, monkeypatch,
+                                                          args, message):
+    # refused before the loop, which would overflow the heater's Lorentzian
+    monkeypatch.chdir(tmp_path)
+    for mode in ("scan-both", "scan-up", "scan-down"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["lock", "--mode", mode, *args])
+        assert result.exit_code == 2, mode
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr and "half buildup" not in result.stderr
+        assert not caught
+    assert not list(tmp_path.iterdir())
+
+
 def test_lock_scan_without_heater_power_exits_2(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, ["lock", "--mode", "scan-both", "--heater-power-w", "0"])
@@ -441,6 +463,46 @@ def test_empty_cavity_truth_outside_the_bounds_exits_2_before_any_work(runner, t
                              f"got {float(value)!r}\n")
     assert not caught
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("span", ["1e300", "-1e300", "148148"])
+def test_empty_cavity_span_beyond_max_synth_fsrs_exits_2(runner, tmp_path, monkeypatch, span):
+    # at 1e300 MHz the fit's jacobian norms and squared singular values overflow
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["empty-cavity", "--span-mhz", span])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: span_mhz {float(span)!r} covers ")
+    assert f"more than MAX_SYNTH_FSRS={cli.MAX_SYNTH_FSRS}" in result.stderr
+    assert not caught
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", ["option", "params", "rerun"])
+def test_spectrum_y_whose_square_overflows_exits_2(runner, tmp_path, monkeypatch, source):
+    # y**2 in steady_state.drive_y2 would raise OverflowError
+    monkeypatch.chdir(tmp_path)
+    if source == "option":
+        args = ["spectrum", "--y", "1.4e154"]
+    elif source == "params":
+        (tmp_path / "p.json").write_text(json.dumps({"drive": {"y": 1.4e154}}))
+        args = ["spectrum", "--params", "p.json"]
+    else:
+        runner.invoke(main, ["spectrum", "--points", "11", "--y", "0.5", "--output", "s.csv"],
+                      catch_exceptions=False)
+        manifest = io.read_json("s.csv.manifest.json")
+        manifest["resolved"]["doc"]["drive"]["y"] = 1.4e154
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        (tmp_path / "s.csv").unlink()
+        args = ["rerun", "m.json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == (f"error: y must be <= MAX_Y={1.3407807929942596e154!r}, where "
+                             f"y**2 is finite, got 1.4e+154\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("slot, value", [("fixed", "fsr_mhz"), ("init", "finesse")])

@@ -253,6 +253,22 @@ def test_lock_lost_at_excessive_gain(cavity, therm, config):
         thermal.lock_loop(0.5, therm, hot, cavity, step=(0.02, 0.1 * cavity.fwhm_hz))
 
 
+def test_lock_refuses_unrepresentable_detunings(cavity, therm, config):
+    # each would overflow a squared Lorentzian argument in the derived columns
+    w = cavity.fwhm_hz
+    with pytest.raises(ValueError, match="the step of .* more than MAX_SHIFT_LINEWIDTHS=1e"):
+        thermal.lock_loop(0.001, therm, config, cavity, step=(0.0, 1e300 * w))
+    hot = replace(config, heater_power=1e300)
+    with pytest.raises(ValueError, match="the heater's full-buildup pull of -inf Hz"):
+        thermal.lock_loop(0.01, replace(therm, shift_per_watt=-1e300), hot, cavity)
+    with pytest.raises(ValueError, match="the integral's reach of .* too wide"):
+        thermal.lock_loop(0.01, therm, replace(config, gain_i=1e300), cavity)
+    # a step of MAX_SHIFT_LINEWIDTHS runs, and loses the lock
+    with pytest.raises(LockLost):
+        thermal.lock_loop(0.05, therm, config, cavity,
+                          step=(0.0, thermal.MAX_SHIFT_LINEWIDTHS * w))
+
+
 def test_lock_deterministic(cavity, therm, config):
     a = thermal.lock_loop(0.2, therm, config, cavity)
     b = thermal.lock_loop(0.2, therm, config, cavity)
@@ -442,6 +458,30 @@ def test_lock_lost_matches_step_by_step_replay(cavity, therm, config):
     assert type(got.value.time_s) is float
 
 
+@pytest.mark.parametrize("patience", [900, 1500, 1900, 1901, 10 ** 6])
+@pytest.mark.parametrize("step_linewidths", [-2.0, 2.0, 30.0])
+def test_lock_lost_after_settling_matches_replay(cavity, therm, config, monkeypatch,
+                                                 patience, step_linewidths):
+    # with no integral gain the heater stays put, and after the step at k0 = 100
+    # the state reaches its float fixed point within about 830 steps: inside
+    # the capture band for -2 linewidths, outside it for 2 and 30. There the
+    # streak runs out after the loop stopped stepping: at 900 and 1500 steps,
+    # on the last of the 2001 steps (30 linewidths at 1900), or never
+    monkeypatch.setattr(thermal, "CAPTURE_PATIENCE", patience)
+    frozen = replace(config, gain_i=0.0, dt=therm.tau_th / 20.0)
+    step = (0.05, step_linewidths * cavity.fwhm_hz)
+    got = _outcome(thermal.lock_loop, 1.0, therm, frozen, cavity, step=step)
+    want = _outcome(_replay_lock, 1.0, therm, frozen, cavity, step=step)
+    if step_linewidths > 0 and patience <= 1500:
+        assert isinstance(want, LockLost)
+    if isinstance(want, LockLost):
+        assert isinstance(got, LockLost)
+        assert str(got) == str(want)
+        assert got.time_s == want.time_s
+    else:
+        _assert_same_series(got, want)
+
+
 def _outcome(run, *args, **kwargs):
     """What a loop returns, or the LockLost it raises."""
     try:
@@ -467,6 +507,8 @@ _GRID_T0 = 200 * (thermal.ThermalParams().tau_th / 40.0)
          heater_power=2e-3)  # before the start
 @example(duration=0.5, step_linewidths=0.4, step_at=2.0, log_gain=9.0,
          heater_power=2e-3)  # past the end
+@example(duration=0.5, step_linewidths=2.0, step_at=0.4, log_gain=-math.inf,
+         heater_power=2e-3)  # no integral gain: the heater never moves
 def test_lock_matches_replay_on_drawn_settings(cavity, therm, config, duration,
                                                step_linewidths, step_at, log_gain,
                                                heater_power):
