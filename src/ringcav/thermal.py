@@ -398,16 +398,11 @@ def lock_loop(duration_s: float, thermal: ThermalParams, config: LockConfig,
     # the loop carries only the resonance offset and the integral, in the
     # operation order of _dip, _lorentzian and the explicit Euler step, and
     # records the resonance position and the integral; every other column is
-    # derived from them below. The step adds 0.0 to the offset at each k with
-    # k * dt < t0_s (time_s[k] exactly) and size_hz from the first k with
-    # k * dt >= t0_s on; k * dt never decreases with k, so bisect finds that
-    # first k, k0. Within each of the two constant-disturbance segments, a
-    # step that leaves (off, integral) unchanged, compared with ==, is a fixed
-    # point: every later step of the segment records the same values and
-    # meets the same error, so the loop fills the rest of the segment from it
-    # and advances the out-of-band streak arithmetically. A NaN state never
-    # compares equal and a cycling one never repeats its predecessor; both
-    # are integrated step by step.
+    # derived from them below. The step adds size_hz from k0, the first k
+    # with k * dt >= t0_s (time_s[k] exactly; k * dt never decreases with k,
+    # so bisect finds it). A step that leaves (off, integral) unchanged (==)
+    # repeats at every later step of its segment; a NaN or cycling state
+    # never does, and is integrated step by step.
     setpoint = config.setpoint
     gain_i = config.gain_i
     rate = dt / thermal.tau_th
