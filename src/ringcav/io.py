@@ -30,6 +30,20 @@ row:
    notation, 0 in scientific) where digits follow it; then "e+XX" in
    scientific notation and the separator. Dropping the NULs leaves the
    text of the rows.
+
+Working set. A write formats CHUNK_VALUES values at a time, in whole rows,
+into scratch arrays allocated once for the write (``_scratch``; every ufunc
+writes through ``out=``), and drops the NULs _PIECE bytes at a time,
+compacting the text in place, so that each chunk reaches the file in one
+write. Only ``bytearray.translate``'s result, under 100 kB, is allocated
+per piece. When each chunk allocated and freed its own temporaries, about
+1.1 MB at 5 columns, glibc's malloc could return the heap top to the kernel
+after every chunk, whenever that exceeded its dynamic trim threshold (about
+twice the largest array freed before; 407 kB arrays in ``lock --mode
+scan-both``), and the next chunk faulted the pages in again: 13.7k of that
+command's 14.7k minor faults during compute came from its two CSV writes.
+With the fixed working set the command takes about 1.8k, none of them per
+chunk (2-CPU x86-64 Linux, glibc 2.36).
 """
 from __future__ import annotations
 
@@ -42,11 +56,14 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FMT = "%.12g"
-#: rows formatted per write; bounds the words and text held at once. At 5
-#: columns the kernel's float temporaries are then 80 kB, under glibc's 128 kB
-#: mmap threshold, so no chunk faults in fresh pages (with 4096 rows a 5-column
-#: write ran about 1.3x slower on a 2-CPU x86-64 Linux machine)
-CHUNK_ROWS = 2048
+#: values formatted per chunk, in whole rows: 2048 rows of a 5-column time
+#: series, as many _format_rows calls (about 50 us of fixed cost each) as
+#: 2048-row chunks make there, and fewer on narrower writes
+CHUNK_VALUES = 10240
+#: bytes of text NUL-stripped at a time: below glibc's smallest mmap threshold
+#: and its top pad, both 128 KiB, so translate's result, allocated at its
+#: input's size, is never a fresh mapping nor trimmed away after each piece
+_PIECE = 102400
 
 _LO, _HI = 1e-290, 1e290  # |x| the kernel formats; others take FLOAT_FMT
 _TIE = 0.499  # |s - M| above this is within 1e-3 of a tie
@@ -91,61 +108,103 @@ def _tables():
             prefix.view(np.uint64).ravel(), suffix.view(np.uint64).ravel())
 
 
-def _format_rows(values: np.ndarray) -> bytearray:
-    """FLOAT_FMT text of a (rows, k) float64 array: ','-separated, CRLF-ended rows."""
+def _scratch(size: int):
+    """The kernel's working set for chunks of up to size values, allocated once per write.
+
+    The words, five per value; the piece of text being stripped; five float,
+    four index and two word arrays; four masks.
+    """
+    return (np.empty((size, 5), np.uint64), bytearray(min(40 * size, _PIECE)),
+            np.empty((5, size)), np.empty((4, size), np.intp), np.empty((2, size), np.uint64),
+            np.empty((4, size), bool))
+
+
+def _format_rows(values: np.ndarray, scratch) -> memoryview:
+    """FLOAT_FMT text of a (rows, k) float64 array: ','-separated, CRLF-ended rows.
+
+    Every intermediate goes into scratch (see _scratch): a chunk allocates
+    only the exact-fallback lists and the stripped pieces. The text returned
+    is a view of the scratch words, valid until the next call.
+    """
     groups, marks, modulus, mul, div, prefix, suffix = _tables()
+    words, piece, f, i, u, b = scratch
     rows, k = values.shape
     x = values.ravel()
-    a = np.abs(x)
-    fast = (a >= _LO) & (a < _HI)  # False on 0, NaN and inf
-    zero = a == 0.0
-    a[~fast] = 1.0
-    xi = np.floor(np.log10(a)).astype(np.intp) - _X[0]
-    s = a * mul[xi] / div[xi]  # one of the two is 1
-    off = (s >= 1e12).astype(np.intp) - (s < 1e11)  # log10 near a power of ten
-    fix = np.flatnonzero(off)
+    m = x.size
+    f0, f1, f2, f3, f4 = f[:, :m]
+    xi, mark, idx, step = i[:, :m]
+    u0, u1 = u[:, :m]
+    fast, b1, b2, b3 = b[:, :m]
+
+    a = np.abs(x, out=f0)
+    np.greater_equal(a, _LO, out=fast)
+    fast &= np.less(a, _HI, out=b1)  # False on 0, NaN and inf
+    zero = np.equal(a, 0.0, out=b2)
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=b1))
+    np.copyto(xi, np.floor(np.log10(a, out=f1), out=f1), casting="unsafe")
+    xi -= _X[0]
+    # every index is in range; take's default mode, "raise", would copy into out
+    s = np.take(mul, xi, out=f1, mode="clip")
+    s *= a
+    s /= np.take(div, xi, out=f2, mode="clip")  # one of the two is 1
+    high = np.greater_equal(s, 1e12, out=b1)  # log10 near a power of ten
+    low = np.less(s, 1e11, out=b3)
+    fix = np.flatnonzero(high | low)
     if fix.size:
-        xi[fix] += off[fix]
+        xi[fix] += high[fix].astype(np.intp) - low[fix]
         s[fix] = a[fix] * mul[xi[fix]] / div[xi[fix]]
-    mant = np.rint(s)
-    fast &= np.abs(s - mant) <= _TIE
-    carry = mant >= 1e12
-    mant[carry] = 1e11
+    mant = np.rint(s, out=f2)
+    tie = np.abs(np.subtract(s, mant, out=f1), out=f1)
+    fast &= np.less_equal(tie, _TIE, out=b1)
+    carry = np.greater_equal(mant, 1e12, out=b1)
+    np.copyto(mant, 1e11, where=carry)
     xi += carry
-    mant[zero] = 0.0  # with X = 0 from a = 1, the words spell "0" (or "-0")
+    np.copyto(mant, 0.0, where=zero)  # with X = 0 from a = 1, the words spell "0" (or "-0")
     fast |= zero
-    g1 = np.floor(mant / 1e8)
-    rest = mant - g1 * 1e8
-    g2 = np.floor(rest / 1e4)
-    g3 = rest - g2 * 1e4
-    after = mant / modulus[xi]
-    mark = 2 * xi + (after != np.floor(after))
-    tail3 = g3 == 0
-    tail2 = tail3 & (g2 == 0)
-    text = bytearray(40 * x.size)
-    words = np.frombuffer(text, np.uint64).reshape(-1, 5)
-    words[:, 0] = prefix[xi + _NX * np.signbit(x)]
-    words[:, 1] = groups[g1.astype(np.intp) + 10000 * tail2] | marks[0, mark]
-    words[:, 2] = groups[g2.astype(np.intp) + 10000 * tail3] | marks[1, mark]
-    words[:, 3] = groups[g3.astype(np.intp) + 10000] | marks[2, mark]
-    last = np.where(np.arange(k) == k - 1, _NX, 0)
-    words[:, 4] = suffix[(xi.reshape(rows, k) + last).ravel()]
-    slow = np.flatnonzero(~fast)
+    g1 = np.floor(np.divide(mant, 1e8, out=f0), out=f0)
+    rest = np.subtract(mant, np.multiply(g1, 1e8, out=f1), out=f1)
+    g2 = np.floor(np.divide(rest, 1e4, out=f3), out=f3)
+    g3 = np.subtract(rest, np.multiply(g2, 1e4, out=f4), out=rest)
+    after = np.divide(mant, np.take(modulus, xi, out=f4, mode="clip"), out=f4)
+    np.multiply(xi, 2, out=mark)
+    mark += np.not_equal(after, np.floor(after, out=f2), out=b1)
+    tail3 = np.equal(g3, 0.0, out=b2)
+    tail2 = np.logical_and(tail3, np.equal(g2, 0.0, out=b3), out=b3)
+    np.multiply(np.signbit(x, out=b1), _NX, out=idx)
+    idx += xi
+    words[:m, 0] = np.take(prefix, idx, out=u0, mode="clip")
+    for j, (g, tail) in enumerate(((g1, tail2), (g2, tail3), (g3, True))):
+        np.copyto(idx, g, casting="unsafe")
+        idx += np.multiply(tail, 10000, out=step)  # a ufunc's where= is several times slower
+        np.bitwise_or(np.take(groups, idx, out=u0, mode="clip"),
+                      np.take(marks[j], mark, out=u1, mode="clip"), out=words[:m, j + 1])
+    np.copyto(idx, xi)
+    idx.reshape(rows, k)[:, -1] += _NX  # the suffixes that end a row
+    words[:m, 4] = np.take(suffix, idx, out=u0, mode="clip")
+    slow = np.flatnonzero(np.logical_not(fast, out=b1))
     if slow.size:
         seps = np.where(slow % k == k - 1, "\r\n", ",").tolist()
         exact = [FLOAT_FMT % v + sep for v, sep in zip(x[slow].tolist(), seps)]
         words[slow] = np.array(exact, "S40").view(np.uint64).reshape(-1, 5)
-    return text.translate(None, b"\0")
+    text = memoryview(words).cast("B")
+    end = 0
+    for start in range(0, 40 * m, _PIECE):
+        piece[:] = text[start:min(start + _PIECE, 40 * m)]  # a shorter piece keeps the allocation
+        kept = piece.translate(None, b"\0")
+        text[end:end + len(kept)] = kept  # end <= start: the text is compacted in place
+        end += len(kept)
+    return text[:end]
 
 
 def write_columns_csv(path, header: list[str], columns: list) -> None:
     """Header through csv.writer, then FLOAT_FMT rows with csv's CRLF line ends.
 
-    A formatted number never needs quoting, so rows are formatted
-    CHUNK_ROWS at a time by _format_rows (see the module docstring) and each
-    chunk is written as soon as it is ready. Columns must be 1-D integer,
-    boolean or floating arrays (TypeError otherwise); integers and booleans
-    are formatted as ``%`` formats them, through float.
+    A formatted number never needs quoting, so rows are formatted by
+    _format_rows (see the module docstring), CHUNK_VALUES values' worth of
+    whole rows at a time in one working set allocated for the write, and each
+    chunk's bytes go to the file as soon as they are ready. Columns must be
+    1-D integer, boolean or floating arrays (TypeError otherwise); integers
+    and booleans are formatted as ``%`` formats them, through float.
     """
     cols = [np.asarray(c) for c in columns]
     for c in cols:
@@ -154,14 +213,17 @@ def write_columns_csv(path, header: list[str], columns: list) -> None:
     if len({len(c) for c in cols}) > 1:
         raise ValueError("columns differ in length")
     n = len(cols[0]) if cols else 0
-    chunk = np.empty((min(n, CHUNK_ROWS), len(cols)))
+    step = max(1, CHUNK_VALUES // max(1, len(cols)))
+    chunk = np.empty((min(n, step), len(cols)))
+    scratch = _scratch(chunk.size)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for i in range(0, n, CHUNK_ROWS):
-            rows = min(CHUNK_ROWS, n - i)
+        fh.flush()  # the rows go to the binary buffer underneath, after the header
+        for i in range(0, n, step):
+            rows = min(step, n - i)
             for j, c in enumerate(cols):
                 chunk[:rows, j] = c[i:i + rows]
-            fh.write(_format_rows(chunk[:rows]).decode("ascii"))
+            fh.buffer.write(_format_rows(chunk[:rows], scratch))
 
 
 def read_columns_csv(path) -> dict:

@@ -212,6 +212,10 @@ def ensemble_from_dict(data: dict) -> EnsembleParams:
     _check_section("ensemble", data)
     gamma_par = mhz_to_rad(data["gamma_par_mhz"])
     if "gamma_perp_mhz" in data:
+        floor = data["gamma_par_mhz"] / 2.0  # gamma_perp = gamma_par / 2 + gamma_d, gamma_d >= 0
+        if not (data["gamma_perp_mhz"] >= floor):
+            raise NonPositiveRate(f"ensemble key 'gamma_perp_mhz' must be >= gamma_par_mhz / 2 "
+                                  f"= {floor!r}, got {data['gamma_perp_mhz']!r}")
         gamma_d = mhz_to_rad(data["gamma_perp_mhz"]) - gamma_par / 2.0
     else:
         gamma_d = mhz_to_rad(data.get("gamma_d_mhz", 0.0))

@@ -37,6 +37,13 @@ from .units import C_VACUUM, H_PLANCK, TWO_PI
 #: relative residual bound every returned root must satisfy
 RESIDUAL_TOL = 1e-9
 
+#: grid rows _roots_grid solves at a time. Its temporaries are then 32 kB
+#: arrays, about 230 kB at their peak, which the next block reuses: on a
+#: 60 001-point grid that stays under glibc's trim threshold, where 8192-row
+#: blocks (about 450 kB) had the heap top trimmed and faulted in again after
+#: each block, and one pass allocated dozens of fresh 480 kB arrays
+BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class BranchPolicy:
@@ -149,11 +156,11 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     ascending with NaNs last, counts the per-tuple root count; n is the
     broadcast size of the inputs flattened to one axis.
 
-    The largest root r1 always exists (_largest_root). Dividing it out
-    leaves c3 u^2 + b1 u + b0 with b0 = -c0/r1 >= 0, so the other two roots
-    are physical only where that quadratic's discriminant is >= 0 and
-    b1 < 0; they come from the cancellation-free quadratic formula and are
-    polished on the cubic itself, on those rows only.
+    The rows are solved BLOCK_ROWS at a time into the preallocated outputs,
+    so a solve's temporaries stay the size of one block however long the
+    grid; every step is elementwise, so the roots are those of one pass over
+    the grid, bit for bit. A failed certification is reported once, with
+    the count over the whole grid and the first grid index.
     """
     args = (y2, delta_c, delta_a, cooperativity)
     grid = np.empty((4, *np.broadcast(*args).shape))  # one buffer: one check each
@@ -166,6 +173,34 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
         # G(u) = u (P^2 + Q^2) - y2 D^2 > 0 for every u >= 0
         idx = int(np.argmax(y2 < 0.0))
         raise NoRealRoot(f"negative drive y^2 has no physical root at grid index {idx}")
+    n = y2.size
+    roots = np.empty((n, 3))
+    counts = np.empty(n, dtype=int)
+    if n <= BLOCK_ROWS:
+        bad = _roots_block(y2, delta_c, delta_a, cooperativity, roots, counts)
+    else:
+        bad = np.empty(n, dtype=bool)
+        for i in range(0, n, BLOCK_ROWS):
+            j = i + BLOCK_ROWS
+            bad[i:j] = _roots_block(*grid[:, i:j], roots[i:j], counts[i:j])
+    if bad.any():
+        raise NumericalInstability(
+            f"{int(bad.sum())} row(s) failed residual certification at tol "
+            f"{RESIDUAL_TOL}, first at grid index {int(np.argmax(bad))}"
+        )
+    return roots, counts
+
+
+def _roots_block(y2, delta_c, delta_a, cooperativity, roots, counts):
+    """Fill roots and counts (see _roots_grid) for 1-D parameter rows; returns
+    the rows whose roots fail certification.
+
+    The largest root r1 always exists (_largest_root). Dividing it out
+    leaves c3 u^2 + b1 u + b0 with b0 = -c0/r1 >= 0, so the other two roots
+    are physical only where that quadratic's discriminant is >= 0 and
+    b1 < 0; they come from the cancellation-free quadratic formula and are
+    polished on the cubic itself, on those rows only.
+    """
     c3, c2, c1, c0 = _cubic_coeffs(y2, delta_c, delta_a, cooperativity)
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = np.maximum(_largest_root(c3, c2, c1, c0), 0.0)  # Newton can end a root at 0 below it
@@ -174,9 +209,9 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     disc = b1 * b1 - 4.0 * c3 * b0
     rows = np.flatnonzero((disc >= 0.0) & (b1 < 0.0))
     bad = _uncertified(r1, c3, c2, c1, c0)
-    roots = np.full((r1.size, 3), np.nan)
     roots[:, 0] = r1
-    counts = np.ones(r1.size, dtype=int)
+    roots[:, 1:] = np.nan
+    counts[:] = 1
     if rows.size:
         coeffs = tuple(c[rows, None] for c in (c3, c2, c1, c0))
         s = 0.5 * (np.sqrt(disc[rows]) - b1[rows])  # > 0: no cancellation
@@ -184,12 +219,7 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
         bad[rows] |= np.any(_uncertified(pair, *coeffs), axis=1)
         roots[rows] = np.sort(np.column_stack([pair, r1[rows]]), axis=1)
         counts[rows] = 3
-    if bad.any():
-        raise NumericalInstability(
-            f"{int(bad.sum())} row(s) failed residual certification at tol "
-            f"{RESIDUAL_TOL}, first at grid index {int(np.argmax(bad))}"
-        )
-    return roots, counts
+    return bad
 
 
 def solve_intensity(y, delta_c, delta_a, cooperativity):

@@ -221,8 +221,10 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     MAX_SHIFT_LINEWIDTHS, and (StepTooCoarse) a step that moves the laser
     farther than the span. A scan that never rises above half buildup has no
     dwell to measure. It raises StepTooCoarse when the laser crossed the
-    resonance (each step jumps past it), and ValueError when the heating
-    pulled the resonance out of the window ahead of the laser.
+    resonance (each step jumps past it), naming the larger per-step move:
+    the laser's, or the heating pull's, dt / tau_th times its full buildup.
+    It raises ValueError when the heating pulled the resonance out of the
+    window ahead of the laser.
     """
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
@@ -252,14 +254,14 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     heater_freq = nu_start + slope * time_s
     # the loop carries only the resonance offset, in the operation order of
     # _lorentzian and the explicit Euler step, and records it; the other
-    # columns are derived from it below. nu_start + slope * (k * dt) is
-    # heater_freq[k] exactly.
+    # columns are derived from it below. Iterating a memoryview makes one
+    # float of heater_freq at a time, not a list of all of them.
     rate = dt / thermal.tau_th
-    rec = array("d", [0.0]) * n
+    rec = array("d")
     off = 0.0
-    for k in range(n):
-        rec[k] = off
-        x = 2.0 * (nu_start + slope * (k * dt) - off) / w
+    for nu in memoryview(heater_freq):
+        rec.append(off)
+        x = 2.0 * (nu - off) / w
         off = off + rate * (shift * (peak / (1.0 + x * x)) - off)
     offset = np.frombuffer(rec)
     detuning = heater_freq - offset
@@ -267,10 +269,18 @@ def scan_experiment(direction: str, scan_rate: float, span_hz: float,
     dwell = _dwell_above(time_s, p_circ, 0.5 * peak)
     if dwell == 0.0:
         if detuning.min() < 0.0 < detuning.max():
+            laser_step = scan_rate * dt / w
+            pull_step = rate * abs(shift * peak) / w  # the Euler step's largest move
+            if pull_step > laser_step:
+                cause = (f": the heating pull moves the resonance up to {pull_step:.3g} "
+                         f"linewidths per step, dt / tau_th times its full-buildup pull of "
+                         f"{abs(shift * peak) / w:.3g} linewidths, against the laser's "
+                         f"{laser_step:.3g};")
+            else:
+                cause = f" ({laser_step:.3g} linewidths per step):"
             raise StepTooCoarse(
                 f"the {direction} scan never rose above half buildup at "
-                f"scan_rate={scan_rate!r} Hz/s and dt={dt!r} s "
-                f"({scan_rate * dt / w:.3g} linewidths per step): it has no dwell to measure"
+                f"scan_rate={scan_rate!r} Hz/s and dt={dt!r} s{cause} it has no dwell to measure"
             )
         raise ValueError(
             f"the {direction} scan never crossed the resonance, which the heating pulled "

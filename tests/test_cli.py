@@ -319,6 +319,20 @@ def test_lock_fast_scan_both_exits_2(runner, tmp_path, monkeypatch, rate, messag
     assert not list(tmp_path.iterdir())
 
 
+def test_lock_scan_outrun_by_its_heating_pull_names_the_pull(runner, tmp_path, monkeypatch):
+    # a pull of 2167 linewidths moves the resonance up to 54 linewidths in one
+    # step of dt = tau_th/40, while the laser moves 0.0025
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["lock", "--mode", "scan-up", "--shift-per-watt", "-1e14",
+                                  "--span-mhz", "1e3"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert ("the heating pull moves the resonance up to 54.2 linewidths per step, dt / tau_th "
+            "times its full-buildup pull of 2.17e+03 linewidths, against the laser's 0.0025"
+            in result.stderr)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args, message", [
     # the heating would drag the resonance about 2e289 linewidths
     (["--shift-per-watt", "-1e300"], "full-buildup pull of "),
@@ -477,6 +491,18 @@ def test_empty_cavity_span_beyond_max_synth_fsrs_exits_2(runner, tmp_path, monke
     assert result.stderr.startswith(f"error: span_mhz {float(span)!r} covers ")
     assert f"more than MAX_SYNTH_FSRS={cli.MAX_SYNTH_FSRS}" in result.stderr
     assert not caught
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_gamma_perp_below_its_floor_exits_2_naming_it(runner, tmp_path, monkeypatch):
+    # gamma_perp = gamma_par / 2 + gamma_d with gamma_d >= 0: the nominal
+    # gamma_par of 5.2 MHz puts the floor at 2.6 MHz
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["spectrum", "--gamma-perp-mhz", "1e-300", "--points", "5"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == ("error: ensemble key 'gamma_perp_mhz' must be >= gamma_par_mhz / 2 "
+                             "= 2.6, got 1e-300\n")
     assert not list(tmp_path.iterdir())
 
 

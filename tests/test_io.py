@@ -130,19 +130,22 @@ _CSV_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e-300, 123456789012345.0]),
 )
-# 0, 1 and 2 rows, and runs that straddle one and two chunks
-_CSV_LENGTHS = st.one_of(
-    st.integers(0, 5),
-    st.sampled_from([io.CHUNK_ROWS - 1, io.CHUNK_ROWS, io.CHUNK_ROWS + 1,
-                     2 * io.CHUNK_ROWS + 7]),
-)
+
+
+def _chunk_rows(k):
+    """Rows of a k-column write formatted at a time."""
+    return io.CHUNK_VALUES // k
 
 
 @st.composite
 def _csv_columns(draw):
-    n = draw(_CSV_LENGTHS)
+    k = draw(st.integers(1, 6))
+    rows = _chunk_rows(k)
+    # 0 to 5 rows, and runs that straddle one and two chunks
+    n = draw(st.one_of(st.integers(0, 5), st.sampled_from([rows - 1, rows, rows + 1,
+                                                             2 * rows + 7])))
     columns = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(k):
         if draw(st.booleans()):
             base = np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=8)),
                             dtype=np.int64)
@@ -195,14 +198,15 @@ def _seam_values():
     return np.concatenate([near, -near, specials])
 
 
-@pytest.mark.parametrize("rows", [0, 1, io.CHUNK_ROWS - 1, io.CHUNK_ROWS + 1,
-                                  2 * io.CHUNK_ROWS + 7])
-def test_write_columns_csv_seams_match_reference(tmp_path, rows):
+@pytest.mark.parametrize("k", range(1, 7))
+def test_write_columns_csv_seams_match_reference(tmp_path, k):
     seams = _seam_values()
     ints = np.array([0, 1, -1, 2**62, -2**62, 2**53 + 1, 10**12 - 1, 10**13 + 5], dtype=np.int64)
-    columns = [np.resize(seams, rows), np.resize(ints, rows),
-               np.resize(np.array([True, False]), rows), np.resize(seams[::-1], rows)]
-    _assert_matches_reference(tmp_path, columns)
+    bases = [seams, ints, np.array([True, False]), seams[::-1], np.roll(seams, 7), ints[::-1]]
+    rows = _chunk_rows(k)
+    # 0 and 1 rows, and runs that straddle one and two chunks
+    for n in [0, 1, rows - 1, rows, rows + 1, 2 * rows + 7]:
+        _assert_matches_reference(tmp_path, [np.resize(base, n) for base in bases[:k]])
 
 
 @pytest.mark.parametrize("column", [

@@ -86,6 +86,15 @@ def test_gamma_d_accepted():
     assert e.gamma_perp == pytest.approx(2.0 * math.pi * 4.0e6, rel=1e-12)
 
 
+def test_gamma_perp_at_or_above_its_floor_only():
+    doc = {"cooperativity": 1.0, "gamma_par_mhz": 5.2, "n_sat": 12.7}
+    assert ensemble_from_dict({**doc, "gamma_perp_mhz": 2.6}).gamma_d == 0.0
+    for below in (math.nextafter(2.6, 0.0), 1e-300, -1.0):
+        with pytest.raises(NonPositiveRate, match=re.escape(
+                f"'gamma_perp_mhz' must be >= gamma_par_mhz / 2 = 2.6, got {below!r}")):
+            ensemble_from_dict({**doc, "gamma_perp_mhz": below})
+
+
 def test_partial_document_inherits_nominal():
     cav, ens, drv = params_from_dict({"ensemble": {"cooperativity": 3.0}})
     assert ens.cooperativity == 3.0

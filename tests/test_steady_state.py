@@ -303,6 +303,55 @@ def test_every_policy_reports_stable_roots(cavity, ensemble, points, c, power_w,
     assert np.array_equal(t, ss._transmission_from_u(u, dc, da, c, cavity.kappa_ratio))
 
 
+@pytest.mark.parametrize("rows", [ss.BLOCK_ROWS - 1, ss.BLOCK_ROWS, ss.BLOCK_ROWS + 1,
+                                  2 * ss.BLOCK_ROWS + 7])
+def test_blocked_solve_matches_row_by_row(cavity, ensemble, monkeypatch, rows):
+    from dataclasses import replace
+
+    # 10 kHz steps: the bistable run, |detuning| < 2.69 MHz at C = 5 and
+    # 10 nW, straddles the first block edge
+    block = ss.BLOCK_ROWS
+    ens = replace(ensemble, cooperativity=5.0)
+    drv = DriveParams(input_power=10e-9)
+    grid = (np.arange(rows) - block) * 1e4
+    omega = TWO_PI * grid
+    dc, da = omega / cavity.kappa, omega / ens.gamma_perp
+    y2 = ss.drive_y2(drv, cavity, ens.n_sat)
+    roots, counts = ss._roots_grid(y2, dc, da, 5.0)
+    if rows > block:
+        assert counts[block - 1] == counts[block] == 3
+    edges = np.arange(0, rows + 1, block)
+    picks = np.concatenate([edges - 1, edges, edges + 1,
+                            np.random.default_rng(rows).integers(0, rows, 64)])
+    for i in np.unique(picks[(picks >= 0) & (picks < rows)]):
+        one_roots, one_counts = ss._roots_grid(y2, dc[i], da[i], 5.0)
+        assert one_counts[0] == counts[i]
+        assert np.array_equal(one_roots[0], roots[i], equal_nan=True)
+    with monkeypatch.context() as m:
+        m.setattr(ss, "BLOCK_ROWS", rows)
+        one_pass = ss._roots_grid(y2, dc, da, 5.0)
+    assert np.array_equal(one_pass[0], roots, equal_nan=True)
+    assert np.array_equal(one_pass[1], counts)
+    for policy in _POLICIES:
+        if policy.mode == "follow_sweep":
+            u = _follow_per_point(*one_pass, policy.direction)
+        else:
+            u = ss.select_branch(*one_pass, policy)
+        t = ss.spectrum(grid, cavity, ens, drv, policy=policy)
+        assert np.array_equal(t, ss._transmission_from_u(u, dc, da, 5.0, cavity.kappa_ratio))
+
+
+def test_certification_failures_across_blocks_are_reported_once():
+    # from y^2 of about 1.8e16 the closed-form seed loses the largest root
+    block = ss.BLOCK_ROWS
+    y2 = np.ones(2 * block + 7)
+    y2[[block, 2 * block, 2 * block + 6]] = 1e20  # the first rows of later blocks, the last row
+    with pytest.raises(NumericalInstability, match=(
+            rf"^3 row\(s\) failed residual certification at tol 1e-09, "
+            rf"first at grid index {block}$")):
+        ss._roots_grid(y2, 0.0, 0.0, 0.0)
+
+
 def test_resonant_highest_branch_transmits_no_more_than_lowest(cavity, ensemble):
     y2 = ss.drive_from_power(np.logspace(-12, -8, 20), cavity, ensemble.n_sat)
     args = (y2, 0.0, 0.0, ensemble.cooperativity, cavity.kappa_ratio)
