@@ -34,9 +34,8 @@ row:
 Working set. A write formats CHUNK_VALUES values at a time, in whole rows,
 into scratch arrays allocated once for the write (``_scratch``; every ufunc
 writes through ``out=``), and drops the NULs _PIECE bytes at a time,
-compacting the text in place, so that each chunk reaches the file in one
-write. Only ``bytearray.translate``'s result, under 100 kB, is allocated
-per piece. When each chunk allocated and freed its own temporaries, about
+writing each stripped piece to the file. Only ``bytearray.translate``'s
+result, under 100 kB, is allocated per piece. When each chunk allocated and freed its own temporaries, about
 1.1 MB at 5 columns, glibc's malloc could return the heap top to the kernel
 after every chunk, whenever that exceeded its dynamic trim threshold (about
 twice the largest array freed before; 407 kB arrays in ``lock --mode
@@ -50,6 +49,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -119,12 +119,12 @@ def _scratch(size: int):
             np.empty((4, size), bool))
 
 
-def _format_rows(values: np.ndarray, scratch) -> memoryview:
+def _format_rows(values: np.ndarray, scratch) -> Iterator[bytearray]:
     """FLOAT_FMT text of a (rows, k) float64 array: ','-separated, CRLF-ended rows.
 
+    Yields the text piece by piece, each from _PIECE bytes of the words.
     Every intermediate goes into scratch (see _scratch): a chunk allocates
-    only the exact-fallback lists and the stripped pieces. The text returned
-    is a view of the scratch words, valid until the next call.
+    only the exact-fallback lists and the stripped pieces.
     """
     groups, marks, modulus, mul, div, prefix, suffix = _tables()
     words, piece, f, i, u, b = scratch
@@ -186,14 +186,10 @@ def _format_rows(values: np.ndarray, scratch) -> memoryview:
         seps = np.where(slow % k == k - 1, "\r\n", ",").tolist()
         exact = [FLOAT_FMT % v + sep for v, sep in zip(x[slow].tolist(), seps)]
         words[slow] = np.array(exact, "S40").view(np.uint64).reshape(-1, 5)
-    text = memoryview(words).cast("B")
-    end = 0
-    for start in range(0, 40 * m, _PIECE):
-        piece[:] = text[start:min(start + _PIECE, 40 * m)]  # a shorter piece keeps the allocation
-        kept = piece.translate(None, b"\0")
-        text[end:end + len(kept)] = kept  # end <= start: the text is compacted in place
-        end += len(kept)
-    return text[:end]
+    text = memoryview(words[:m]).cast("B")
+    for start in range(0, len(text), _PIECE):
+        piece[:] = text[start:start + _PIECE]  # a shorter piece keeps the allocation
+        yield piece.translate(None, b"\0")
 
 
 def write_columns_csv(path, header: list[str], columns: list) -> None:
@@ -223,7 +219,7 @@ def write_columns_csv(path, header: list[str], columns: list) -> None:
             rows = min(step, n - i)
             for j, c in enumerate(cols):
                 chunk[:rows, j] = c[i:i + rows]
-            fh.buffer.write(_format_rows(chunk[:rows], scratch))
+            fh.buffer.writelines(_format_rows(chunk[:rows], scratch))
 
 
 def read_columns_csv(path) -> dict:

@@ -213,7 +213,8 @@ def ensemble_from_dict(data: dict) -> EnsembleParams:
     gamma_par = mhz_to_rad(data["gamma_par_mhz"])
     if "gamma_perp_mhz" in data:
         floor = data["gamma_par_mhz"] / 2.0  # gamma_perp = gamma_par / 2 + gamma_d, gamma_d >= 0
-        if not (data["gamma_perp_mhz"] >= floor):
+        # a gamma_par_mhz that is not > 0 gets EnsembleParams' own message
+        if data["gamma_par_mhz"] > 0.0 and not (data["gamma_perp_mhz"] >= floor):
             raise NonPositiveRate(f"ensemble key 'gamma_perp_mhz' must be >= gamma_par_mhz / 2 "
                                   f"= {floor!r}, got {data['gamma_perp_mhz']!r}")
         gamma_d = mhz_to_rad(data["gamma_perp_mhz"]) - gamma_par / 2.0

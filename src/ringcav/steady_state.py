@@ -176,13 +176,10 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     n = y2.size
     roots = np.empty((n, 3))
     counts = np.empty(n, dtype=int)
-    if n <= BLOCK_ROWS:
-        bad = _roots_block(y2, delta_c, delta_a, cooperativity, roots, counts)
-    else:
-        bad = np.empty(n, dtype=bool)
-        for i in range(0, n, BLOCK_ROWS):
-            j = i + BLOCK_ROWS
-            bad[i:j] = _roots_block(*grid[:, i:j], roots[i:j], counts[i:j])
+    bad = np.empty(n, dtype=bool)
+    for i in range(0, n, BLOCK_ROWS):
+        j = i + BLOCK_ROWS
+        bad[i:j] = _roots_block(*grid[:, i:j], roots[i:j], counts[i:j])
     if bad.any():
         raise NumericalInstability(
             f"{int(bad.sum())} row(s) failed residual certification at tol "

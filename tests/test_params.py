@@ -93,6 +93,9 @@ def test_gamma_perp_at_or_above_its_floor_only():
         with pytest.raises(NonPositiveRate, match=re.escape(
                 f"'gamma_perp_mhz' must be >= gamma_par_mhz / 2 = 2.6, got {below!r}")):
             ensemble_from_dict({**doc, "gamma_perp_mhz": below})
+    for gamma_par in (-1.0, 0.0):  # a bad gamma_par_mhz is blamed, not the floor
+        with pytest.raises(NonPositiveRate, match="gamma_par must be > 0"):
+            ensemble_from_dict({**doc, "gamma_par_mhz": gamma_par, "gamma_perp_mhz": -10.0})
 
 
 def test_partial_document_inherits_nominal():
