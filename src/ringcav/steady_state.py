@@ -179,7 +179,8 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     bad = np.empty(n, dtype=bool)
     for i in range(0, n, BLOCK_ROWS):
         j = i + BLOCK_ROWS
-        bad[i:j] = _roots_block(*grid[:, i:j], roots[i:j], counts[i:j])
+        bad[i:j] = _roots_block(y2[i:j], delta_c[i:j], delta_a[i:j], cooperativity[i:j],
+                                roots[i:j], counts[i:j])
     if bad.any():
         raise NumericalInstability(
             f"{int(bad.sum())} row(s) failed residual certification at tol "
