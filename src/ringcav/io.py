@@ -35,14 +35,14 @@ Working set. A write formats CHUNK_VALUES values at a time, in whole rows,
 into scratch arrays allocated once for the write (``_scratch``; every ufunc
 writes through ``out=``), and drops the NULs _PIECE bytes at a time,
 writing each stripped piece to the file. Only ``bytearray.translate``'s
-result, under 100 kB, is allocated per piece. When each chunk allocated and freed its own temporaries, about
-1.1 MB at 5 columns, glibc's malloc could return the heap top to the kernel
-after every chunk, whenever that exceeded its dynamic trim threshold (about
-twice the largest array freed before; 407 kB arrays in ``lock --mode
-scan-both``), and the next chunk faulted the pages in again: 13.7k of that
-command's 14.7k minor faults during compute came from its two CSV writes.
-With the fixed working set the command takes about 1.8k, none of them per
-chunk (2-CPU x86-64 Linux, glibc 2.36).
+result, under 100 kB, is allocated per piece. When each chunk allocated and
+freed its own temporaries, about 1.1 MB at 5 columns, glibc's malloc could
+return the heap top to the kernel after every chunk, whenever that exceeded
+its dynamic trim threshold (about twice the largest array freed before;
+407 kB arrays in ``lock --mode scan-both``), and the next chunk faulted the
+pages in again: 13.7k of that command's 14.7k minor faults during compute
+came from its two CSV writes. With the fixed working set the command takes
+about 1.7k, none of them per chunk (2-CPU x86-64 Linux, glibc 2.36).
 """
 from __future__ import annotations
 
