@@ -236,7 +236,11 @@ def _run_spectrum(r: dict) -> list:
     # a spectrum's detuning grid must be strictly monotone, so of 2 points or more
     _check_points(r["points"], fewest=2)
     half = r["span_mhz"] / 2.0
-    grid_mhz = np.linspace(r["center_mhz"] - half, r["center_mhz"] + half, r["points"])
+    ends = (r["center_mhz"] - half, r["center_mhz"] + half)
+    if not all(math.isfinite(end * 1e6) for end in ends):
+        raise ValueError(f"center_mhz {r['center_mhz']!r} and span_mhz {r['span_mhz']!r} put the "
+                         f"grid's ends at {ends} MHz, not all finite in Hz")
+    grid_mhz = np.linspace(*ends, r["points"])
     t = ss.spectrum(
         grid_mhz * 1e6,
         cavity,

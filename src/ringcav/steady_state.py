@@ -18,11 +18,13 @@ coupler is
 
     T = |1 - (2i/y) (kappa_ex/kappa) X|^2.
 
-All solver code is vectorized over parameter tuples. The cubic's largest real
-root always exists (c3 > 0 >= c0); it is taken in closed form and
-Newton-polished, then divided out, and the remaining quadratic gives the other
-two roots without cancellation where both are real and non-negative. Every
-root is certified against the cubic's residual before it is returned.
+All solver code is vectorized over parameter tuples and runs BLOCK_ROWS rows
+at a time. The cubic's largest real root always exists (c3 > 0 >= c0); it is
+seeded by Cardano's form, or by the trigonometric form on the rows with three
+real roots, Newton-polished, then divided out, and the remaining quadratic
+gives the other two roots without cancellation where both are real and
+non-negative. Every root is certified against the cubic's residual before it
+is returned. At C = 0, T does not depend on u, and no cubic is solved for it.
 """
 from __future__ import annotations
 
@@ -76,7 +78,7 @@ def _cubic_coeffs(y2, delta_c, delta_a, cooperativity):
     a0 = 1.0 + delta_a * delta_a
     p = a0 + 4.0 * cooperativity
     q = delta_c * a0 - 4.0 * cooperativity * delta_a
-    c3 = 4.0 * (1.0 + delta_c * delta_c) * np.ones_like(y2)
+    c3 = 4.0 * (1.0 + delta_c * delta_c)
     c2 = 4.0 * (p + q * delta_c - y2)
     c1 = p * p + q * q - 4.0 * y2 * a0
     c0 = -y2 * a0 * a0
@@ -112,33 +114,36 @@ def _newton(u, c3, c2, c1, c0):
 
 
 def _largest_root(c3, c2, c1, c0):
-    """The largest real root of each cubic; it is >= 0 because c3 > 0 >= c0.
+    """The largest real root of each cubic (>= 0 as c3 > 0 >= c0), and its |G|.
 
-    Seeded by the trigonometric form where the depressed cubic has three real
-    roots and by Cardano's otherwise, clamped to >= 0 and Newton-polished.
-    Newton shrinks a root far below 1 by only ~1e-16 per step, so a root of
-    order -c0/c1 (1e-258 at y ~ 1e-129) would end at 0 with residual c0; one
-    step of u = -c0 / (c1 + u (c2 + c3 u)) lands on it, and is kept wherever
-    it lowers |G|.
+    Seeded by Cardano's form, overwritten by the trigonometric form only on
+    the rows whose depressed cubic has three real roots (Kahan, "To solve a
+    real cubic equation", 1986), clamped to >= 0 and Newton-polished. Newton
+    shrinks a root far below 1 by only ~1e-16 per step, so a root of order
+    -c0/c1 (1e-258 at y ~ 1e-129) would end at 0 with residual c0; one step
+    of u = -c0 / (c1 + u (c2 + c3 u)) lands on it, kept where it lowers |G|.
     """
     p = c2 / c3
     q = c1 / c3
     a = q - p * p / 3.0
     b = 2.0 * p * p * p / 27.0 - p * q / 3.0 + c0 / c3
     a3 = a * a * a
-    m = 2.0 * np.sqrt(np.maximum(-a / 3.0, 0.0))
-    trig = m * np.cos(np.arccos(np.clip(3.0 * b / (a * m), -1.0, 1.0)) / 3.0)
     d = np.sqrt(np.maximum(b * b / 4.0 + a3 / 27.0, 0.0))
-    cardano = np.cbrt(-b / 2.0 + d) + np.cbrt(-b / 2.0 - d)
-    u = np.where(-4.0 * a3 - 27.0 * b * b > 0.0, trig, cardano) - p / 3.0
-    u = _newton(np.maximum(u, 0.0), c3, c2, c1, c0)
+    u = np.cbrt(-b / 2.0 + d) + np.cbrt(-b / 2.0 - d)
+    three = np.flatnonzero(-4.0 * a3 - 27.0 * b * b > 0.0)
+    if three.size:
+        m = 2.0 * np.sqrt(np.maximum(-a[three] / 3.0, 0.0))
+        u[three] = m * np.cos(np.arccos(np.clip(3.0 * b[three] / (a[three] * m), -1.0, 1.0)) / 3.0)
+    u = _newton(np.maximum(u - p / 3.0, 0.0), c3, c2, c1, c0)
     step = -c0 / (c1 + u * (c2 + c3 * u))
-    return np.where(np.abs(_cubic(step, c3, c2, c1, c0)) < np.abs(_cubic(u, c3, c2, c1, c0)),
-                    step, u)
+    g_step, g_u = np.abs(_cubic(step, c3, c2, c1, c0)), np.abs(_cubic(u, c3, c2, c1, c0))
+    lower = g_step < g_u
+    u, g = np.where(lower, step, u), np.where(lower, g_step, g_u)
+    return np.maximum(u, 0.0), np.where(u < 0.0, np.abs(c0), g)  # clamped to 0, G = c0
 
 
-def _uncertified(u, c3, c2, c1, c0):
-    """Where a root's relative residual is not below RESIDUAL_TOL (NaN included).
+def _uncertified(u, residual, c3, c2, c1, c0):
+    """Where a root's relative residual (|G(u)|, given) is not below RESIDUAL_TOL (NaN included).
 
     Below the smallest normal float, u moves in steps of 2^-1074 and one step
     moves G by ~|c1| 2^-1074, so |u| counts as at least that float: the root
@@ -146,7 +151,20 @@ def _uncertified(u, c3, c2, c1, c0):
     """
     scale = (np.abs(c3 * u * u * u) + np.abs(c2 * u * u)
              + np.abs(c1) * np.maximum(np.abs(u), np.finfo(float).tiny) + np.abs(c0))
-    return ~(np.abs(_cubic(u, c3, c2, c1, c0)) <= RESIDUAL_TOL * scale)
+    return ~(residual <= RESIDUAL_TOL * scale)
+
+
+def _solver_rows(y2, delta_c, delta_a, cooperativity):
+    """The four inputs as rows of one (4, n) array, n their broadcast size; all finite, y2 >= 0."""
+    grid = np.empty((4, *np.broadcast(y2, delta_c, delta_a, cooperativity).shape))
+    grid[0], grid[1], grid[2], grid[3] = y2, delta_c, delta_a, cooperativity  # one check each
+    grid = grid.reshape(4, -1)
+    if not np.isfinite(grid).all():
+        raise NumericalInstability("non-finite solver input")
+    negative = np.flatnonzero(grid[0] < 0.0)  # G(u) = u (P^2 + Q^2) - y2 D^2 > 0 at u >= 0
+    if negative.size:
+        raise NoRealRoot(f"negative drive y^2 has no physical root at grid index {negative[0]}")
+    return grid
 
 
 def _roots_grid(y2, delta_c, delta_a, cooperativity):
@@ -162,17 +180,7 @@ def _roots_grid(y2, delta_c, delta_a, cooperativity):
     the grid, bit for bit. A failed certification is reported once, with
     the count over the whole grid and the first grid index.
     """
-    args = (y2, delta_c, delta_a, cooperativity)
-    grid = np.empty((4, *np.broadcast(*args).shape))  # one buffer: one check each
-    grid[0], grid[1], grid[2], grid[3] = args
-    grid = grid.reshape(4, -1)
-    if not np.isfinite(grid).all():
-        raise NumericalInstability("non-finite solver input")
-    y2, delta_c, delta_a, cooperativity = grid
-    if (y2 < 0.0).any():
-        # G(u) = u (P^2 + Q^2) - y2 D^2 > 0 for every u >= 0
-        idx = int(np.argmax(y2 < 0.0))
-        raise NoRealRoot(f"negative drive y^2 has no physical root at grid index {idx}")
+    y2, delta_c, delta_a, cooperativity = _solver_rows(y2, delta_c, delta_a, cooperativity)
     n = y2.size
     roots = np.empty((n, 3))
     counts = np.empty(n, dtype=int)
@@ -201,12 +209,12 @@ def _roots_block(y2, delta_c, delta_a, cooperativity, roots, counts):
     """
     c3, c2, c1, c0 = _cubic_coeffs(y2, delta_c, delta_a, cooperativity)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.maximum(_largest_root(c3, c2, c1, c0), 0.0)  # Newton can end a root at 0 below it
+        r1, g1 = _largest_root(c3, c2, c1, c0)
         b1 = c2 + c3 * r1
         b0 = np.where(r1 > 0.0, -c0 / r1, c1)  # c1 + b1 r1 at r1 = 0
     disc = b1 * b1 - 4.0 * c3 * b0
     rows = np.flatnonzero((disc >= 0.0) & (b1 < 0.0))
-    bad = _uncertified(r1, c3, c2, c1, c0)
+    bad = _uncertified(r1, g1, c3, c2, c1, c0)
     roots[:, 0] = r1
     roots[:, 1:] = np.nan
     counts[:] = 1
@@ -214,7 +222,7 @@ def _roots_block(y2, delta_c, delta_a, cooperativity, roots, counts):
         coeffs = tuple(c[rows, None] for c in (c3, c2, c1, c0))
         s = 0.5 * (np.sqrt(disc[rows]) - b1[rows])  # > 0: no cancellation
         pair = np.maximum(_newton(np.stack([b0[rows] / s, s / c3[rows]], axis=1), *coeffs), 0.0)
-        bad[rows] |= np.any(_uncertified(pair, *coeffs), axis=1)
+        bad[rows] |= np.any(_uncertified(pair, np.abs(_cubic(pair, *coeffs)), *coeffs), axis=1)
         roots[rows] = np.sort(np.column_stack([pair, r1[rows]]), axis=1)
         counts[rows] = 3
     return bad
@@ -270,19 +278,32 @@ def _steady_transmission(y2, delta_c, delta_a, cooperativity, kappa_ratio,
                          policy: BranchPolicy = LOWEST, partials=False):
     """Transmission on the branch policy picks, per broadcast parameter row.
 
-    A scalar y2 == 0 is the weak limit: u = 0 is the only root and no cubic
-    is solved. With partials=True also returns dT/d(y2, delta_c, delta_a,
+    No cubic is solved at a scalar y2 == 0, the weak limit where u = 0 is the
+    only root, nor without partials at a scalar cooperativity == 0, where T's
+    atom term 4C (1 - i delta_a)/D is +-0 at any finite D and u = 0 gives T
+    bit for bit (after the solver's input checks; an overflowing D is
+    refused). With partials=True also returns dT/d(y2, delta_c, delta_a,
     cooperativity, kappa_ratio), the root differentiated implicitly,
-    du/dtheta = -(dG/dtheta)/G'(u); NaN where G'(u) is rounding noise (a
-    double root).
+    du/dtheta = -(dG/dtheta)/G'(u); NaN where G'(u) is rounding noise (a double root).
     """
     if np.ndim(y2) == 0 and y2 == 0.0:
-        u = np.zeros(np.broadcast(delta_c, delta_a).shape)
+        u = np.zeros(np.broadcast(delta_c, delta_a).size)
+    elif not partials and np.ndim(cooperativity) == 0 and cooperativity == 0.0:
+        grid = _solver_rows(y2, delta_c, delta_a, cooperativity)
+        wide = np.flatnonzero(np.abs(grid[2]) >= 2.0 ** 512)  # where delta_a^2 overflows
+        if wide.size:
+            raise NumericalInstability(f"D = 1 + delta_a^2 overflows at grid index {wide[0]}")
+        u = np.zeros(grid.shape[1])
     else:
         roots, counts = _roots_grid(y2, delta_c, delta_a, cooperativity)
         u = select_branch(roots, counts, policy)
     if not partials:
-        return _transmission_from_u(u, delta_c, delta_a, cooperativity, kappa_ratio)
+        rows = np.broadcast_arrays(u, delta_c, delta_a, cooperativity)
+        t = np.empty(rows[0].shape)
+        for i in range(0, len(t), BLOCK_ROWS):
+            t[i:i + BLOCK_ROWS] = _transmission_from_u(*(x[i:i + BLOCK_ROWS] for x in rows),
+                                                       kappa_ratio)
+        return t
     t, (t_u, t_dc, t_da, t_c, t_r) = _transmission_from_u(
         u, delta_c, delta_a, cooperativity, kappa_ratio, partials=True)
     c3, c2, c1, _ = _cubic_coeffs(y2, delta_c, delta_a, cooperativity)

@@ -121,6 +121,18 @@ def test_saturation_at_the_benchmarks_pinned_n_sat_exits_0(runner, tmp_path, mon
     assert result.exit_code == 0, result.output
 
 
+def test_saturation_at_zero_cooperativity_certifies_every_drive(runner, tmp_path, monkeypatch):
+    # 2 MW is y^2 ~ 1e16, past the ~9e15 where the cubic's largest root no
+    # longer certifies; at C = 0 the transmission takes no root
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["saturation", "--cooperativity", "0", "--pmax-w", "2e6",
+                                  "--points", "5"])
+    assert result.exit_code == 0, result.output
+    cols = io.read_columns_csv(tmp_path / "saturation.csv")
+    assert np.array_equal(cols["transmission_atoms"], cols["transmission_empty"])
+    assert np.ptp(cols["transmission_empty"]) == 0.0
+
+
 def test_saturation_bad_power_range_exits_2(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, ["saturation", "--pmin-w", "1e-8", "--pmax-w", "1e-12"])
@@ -504,6 +516,39 @@ def test_spectrum_gamma_perp_below_its_floor_exits_2_naming_it(runner, tmp_path,
     assert result.stderr == ("error: ensemble key 'gamma_perp_mhz' must be >= gamma_par_mhz / 2 "
                              "= 2.6, got 1e-300\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--center-mhz", "1e308", "center_mhz 1e+308 and span_mhz 40.0 put the grid's ends at "
+                              "(1e+308, 1e+308) MHz"),
+    ("--center-mhz", "-1e308", "center_mhz -1e+308 and span_mhz 40.0 put the grid's ends at "
+                               "(-1e+308, -1e+308) MHz"),
+    ("--span-mhz", "1e303", "center_mhz 0.0 and span_mhz 1e+303 put the grid's ends at "
+                            "(-5e+302, 5e+302) MHz"),
+], ids=["center-up", "center-down", "span"])
+def test_spectrum_grid_end_beyond_hz_floats_exits_2_naming_it(runner, tmp_path, monkeypatch,
+                                                              option, value, message):
+    # grid_mhz * 1e6 overflowed, warned twice and blamed a non-monotone grid
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["spectrum", option, value, "--points", "5"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}, not all finite in Hz\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_at_zero_cooperativity_refuses_an_overflowing_atom_term(runner, tmp_path,
+                                                                        monkeypatch):
+    # at C = 0 no cubic is solved, but D = 1 + delta_a^2 still has to be finite
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["spectrum", "--cooperativity", "0", "--span-mhz", "1e300",
+                                      "--points", "5"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == ("error: D = 1 + delta_a^2 overflows at grid index 0 "
+                             "(in spectrum sweep)\n")
 
 
 @pytest.mark.parametrize("source", ["option", "params", "rerun"])

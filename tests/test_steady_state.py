@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 import oracles
 from ringcav import steady_state as ss
@@ -99,6 +102,65 @@ def test_roots_match_oracle_over_the_full_domain(y2, dc, da, c):
     ref = oracles.intensity_roots_bracketing(y2, dc, da, c)
     assert counts[0] == len(ref)
     np.testing.assert_allclose(roots[0, : counts[0]], ref, rtol=1e-7, atol=1e-12)
+
+
+def _fold_drives(dc, da, c):
+    """The y^2 > 0 at which two roots of the intensity cubic merge.
+
+    G = u S(u) - y^2 D^2 with S = P^2 + Q^2 has a double root where
+    y^2 = F(u) = u S / D^2 and F'(u) = 0, that is where the cubic
+    (S + u S') D - 4 u S vanishes; those are the edges of the three-root
+    region, where the depressed cubic's -4a^3 - 27b^2 changes sign.
+    """
+    u = Polynomial([0.0, 1.0])
+    d = 1.0 + da * da + 2.0 * u
+    s = (d + 4.0 * c) ** 2 + (dc * d - 4.0 * c * da) ** 2
+    crit = [x.real for x in ((s + u * s.deriv()) * d - 4.0 * u * s).roots()
+            if x.real > 0.0 and abs(x.imag) <= 1e-9 * abs(x)]
+    return [float(x * s(x) / d(x) ** 2) for x in crit]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dc=st.floats(-3.0, 3.0), da=st.floats(-3.0, 3.0), c=st.floats(4.5, 50.0),
+       upper=st.booleans(), side=st.sampled_from([-1.0, 1.0]), rel=st.floats(1e-9, 1e-6))
+def test_roots_beside_the_three_root_boundary_match_the_oracle(dc, da, c, upper, side, rel):
+    # within a relative 1e-6 of a fold, inside (three real roots) and outside
+    # (one): the seed switches there, and the largest root must be found from
+    # either seed
+    folds = _fold_drives(dc, da, c)
+    assume(folds)
+    y2 = (max(folds) if upper else min(folds)) * (1.0 + side * rel)
+    ref = oracles.intensity_roots_bracketing(y2, dc, da, c)
+    roots, counts = ss._roots_grid(y2, dc, da, c)
+    assert counts[0] == len(ref)
+    np.testing.assert_allclose(roots[0, : counts[0]], ref, rtol=1e-7)
+    top, _ = ss._largest_root(*ss._cubic_coeffs(*(np.array([x]) for x in (y2, dc, da, c))))
+    np.testing.assert_allclose(top, ref[-1], rtol=1e-7)
+
+
+def test_seed_switch_gives_the_same_roots_in_any_block(cavity, ensemble, monkeypatch):
+    from dataclasses import replace
+
+    # the sweep's strong spectrum (C = 5, 10 nW, atoms 6 MHz above the
+    # cavity) has three roots from -1.12 to 0.33 MHz: rows 0-4095 lie there
+    # and the 700 after them out to 20 MHz, so 4096-row blocks hold only or
+    # some three-root rows, 7-row blocks also none, and 1-row blocks one
+    # kind each. The trigonometric seed on every row, or on none, leaves
+    # rows of this grid uncertified.
+    ens = replace(ensemble, cooperativity=5.0)
+    y2 = ss.drive_y2(DriveParams(input_power=10e-9), cavity, ens.n_sat)
+    omega = TWO_PI * np.concatenate([np.linspace(-1.1e6, 0.32e6, 4096),
+                                     np.linspace(0.34e6, 20e6, 700)])
+    dc, da = omega / cavity.kappa, (omega - TWO_PI * 6e6) / ens.gamma_perp
+    solved = []
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(ss, "BLOCK_ROWS", block)
+        solved.append(ss._roots_grid(y2, dc, da, 5.0))
+    roots, counts = solved[0]
+    assert np.all(counts[:4096] == 3) and np.all(counts[4096:4296] == 1)
+    for other_roots, other_counts in solved[1:]:
+        assert np.array_equal(other_roots, roots, equal_nan=True)
+        assert np.array_equal(other_counts, counts)
 
 
 # ------------------------------------------------------- field/transmission
@@ -450,6 +512,38 @@ def test_saturation_is_monotone_decreasing(cavity, ensemble):
     assert np.all(np.diff(t) < 0)
     assert t[0] == pytest.approx(0.88006, abs=5e-4)
     assert t[-1] == pytest.approx(0.32129, abs=5e-3)
+
+
+def test_saturation_curve_at_zero_cooperativity_is_the_empty_cavity_value(cavity, ensemble):
+    from dataclasses import replace
+
+    from ringcav.fitting import saturation_curve
+
+    # up to 2 MW, y^2 ~ 1e16: past the ~9e15 where the cubic's largest root
+    # no longer certifies; at C = 0 T takes no root
+    powers = np.logspace(-12, np.log10(2e6), 301)
+    assert ss.drive_from_power(powers[-1], cavity, ensemble.n_sat) > 9e15
+    t = saturation_curve(powers, cavity, replace(ensemble, cooperativity=0.0))
+    assert np.array_equal(t, np.full(powers.size, (1 - 2 * cavity.kappa_ratio) ** 2))
+
+
+@pytest.mark.parametrize("args", [(np.inf, 0.0, 0.0), (1.0, np.nan, 0.0),
+                                  (1.0, 0.0, np.array([0.0, -np.inf])),
+                                  (np.array([1.0, 0.0, -1.0]), 0.0, 0.0)])
+def test_zero_cooperativity_raises_what_the_solver_raises(args):
+    with pytest.raises((NumericalInstability, NoRealRoot)) as solver:
+        ss._roots_grid(*args, 0.0)
+    with pytest.raises(type(solver.value), match=f"^{re.escape(str(solver.value))}$"):
+        ss._steady_transmission(*args, 0.0, 0.2)
+
+
+def test_zero_cooperativity_refuses_an_overflowing_atom_term():
+    # D = 1 + delta_a^2 + 2u overflows from |delta_a| = 2^512 on
+    da = np.array([0.0, np.nextafter(2.0 ** 512, 0.0), -(2.0 ** 512)])
+    with pytest.raises(NumericalInstability, match=r"^D = 1 \+ delta_a\^2 overflows at grid index 2$"):
+        ss._steady_transmission(1.0, 0.0, da, 0.0, 0.2)
+    t = ss._steady_transmission(1.0, 0.0, da[:2], 0.0, 0.2)
+    assert np.array_equal(t, np.full(2, (1 - 2 * 0.2) ** 2))
 
 
 @pytest.mark.parametrize("which", range(4))
