@@ -36,7 +36,7 @@ from . import thermal
 from .errors import DegenerateFit, RingcavError
 from .params import NOMINAL, SECTION_KEYS, THERMAL_DEFAULTS, merge_document, params_from_dict
 from .peaks import measure_splitting
-from .units import rad_to_mhz
+from .units import mhz_to_rad, rad_to_mhz
 
 _BRANCHES = {
     "lowest": ss.LOWEST,
@@ -237,9 +237,9 @@ def _run_spectrum(r: dict) -> list:
     _check_points(r["points"], fewest=2)
     half = r["span_mhz"] / 2.0
     ends = (r["center_mhz"] - half, r["center_mhz"] + half)
-    if not all(math.isfinite(end * 1e6) for end in ends):
+    if not all(math.isfinite(mhz_to_rad(end)) for end in ends):  # the spectrum's omega
         raise ValueError(f"center_mhz {r['center_mhz']!r} and span_mhz {r['span_mhz']!r} put the "
-                         f"grid's ends at {ends} MHz, not all finite in Hz")
+                         f"grid's ends at {ends} MHz, not all finite in rad/s")
     grid_mhz = np.linspace(*ends, r["points"])
     t = ss.spectrum(
         grid_mhz * 1e6,

@@ -30,24 +30,39 @@ row:
    notation, 0 in scientific) where digits follow it; then "e+XX" in
    scientific notation and the separator. Dropping the NULs leaves the
    text of the rows.
+5. Constant runs. A column whose values in a chunk all have one float64 bit
+   pattern (-0.0 and 0.0 differ, and so do two NaN payloads; the first and
+   last rows are compared first, so a varying column costs no pass) is
+   constant there. Each run of adjacent constant columns is formatted once
+   by FLOAT_FMT, with its separators, NUL-padded to whole words and
+   broadcast down the chunk's rows; steps 1-4 run on the varying columns
+   only, and the suffix that ends a row goes to the last column only if it
+   varies. The strip then scans the constant values' text, 14-16 bytes a
+   value in the lock and saturation records, instead of 40. A lock record
+   repeats the loop's fixed-point state once the loop settles, so 79-80% of
+   the step and hold records' values are in such columns.
 
 Working set. A write formats CHUNK_VALUES values at a time, in whole rows,
 into scratch arrays allocated once for the write (``_scratch``; every ufunc
 writes through ``out=``), and drops the NULs _PIECE bytes at a time,
-writing each stripped piece to the file. Only ``bytearray.translate``'s
-result, under 100 kB, is allocated per piece. When each chunk allocated and
-freed its own temporaries, about 1.1 MB at 5 columns, glibc's malloc could
-return the heap top to the kernel after every chunk, whenever that exceeded
-its dynamic trim threshold (about twice the largest array freed before;
-407 kB arrays in ``lock --mode scan-both``), and the next chunk faulted the
-pages in again: 13.7k of that command's 14.7k minor faults during compute
-came from its two CSV writes. With the fixed working set the command takes
+writing each stripped piece to the file. A chunk with constant columns
+gathers its varying values into one float array and lays its rows out in
+the float arrays once the kernel is done with them, so it uses no other
+memory. Only a chunk's constant runs' text and exact-fallback lists, and
+``bytearray.translate``'s result, under 100 kB, per piece, are allocated
+per chunk. When each chunk allocated and freed its own temporaries, about
+1.1 MB at 5 columns, glibc's malloc could return the heap top to the kernel
+after every chunk, whenever that exceeded its dynamic trim threshold (about
+twice the largest array freed before; 407 kB arrays in ``lock --mode
+scan-both``), and the next chunk faulted the pages in again: 13.7k of that
+command's 14.7k minor faults during compute came from its two CSV writes. With the fixed working set the command takes
 about 1.7k, none of them per chunk (2-CPU x86-64 Linux, glibc 2.36).
 """
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 from collections.abc import Iterator
 from datetime import datetime, timezone
@@ -119,22 +134,92 @@ def _scratch(size: int):
             np.empty((4, size), bool))
 
 
+def _column_runs(values: np.ndarray, same: np.ndarray) -> list:
+    """A chunk's runs of adjacent varying and constant columns, in column order.
+
+    A column is constant where every row holds the first row's float64 bits,
+    so -0.0 and 0.0 differ, and so do two NaN payloads; the first and last
+    rows are compared first, so a varying column costs no pass. Each run is
+    (first column, stop column, text): text is None on a varying run, and on
+    a constant run its FLOAT_FMT text with the separators, NUL-padded to
+    whole uint64 words.
+    """
+    rows, k = values.shape
+    bits = values.view(np.uint64)
+    ends = bits[::rows - 1 or 1].tolist()
+    constant = {j for j, (a, z) in enumerate(zip(ends[0], ends[-1]))
+                if a == z and np.equal(bits[:, j], a, out=same).all()}
+    if not constant:
+        return [(0, k, None)]
+    runs, c0 = [], 0
+    for is_constant, group in itertools.groupby(range(k), constant.__contains__):
+        c1 = c0 + len(list(group))
+        text = None
+        if is_constant:
+            text = ",".join(FLOAT_FMT % v for v in values[0, c0:c1].tolist())
+            text = (text + ("\r\n" if c1 == k else ",")).encode()
+            text = np.frombuffer(text.ljust(-(-len(text) // 8) * 8, b"\0"), np.uint64)
+        runs.append((c0, c1, text))
+        c0 = c1
+    return runs
+
+
 def _format_rows(values: np.ndarray, scratch) -> Iterator[bytearray]:
     """FLOAT_FMT text of a (rows, k) float64 array: ','-separated, CRLF-ended rows.
 
     Yields the text piece by piece, each from _PIECE bytes of the words.
     Every intermediate goes into scratch (see _scratch): a chunk allocates
-    only the exact-fallback lists and the stripped pieces.
+    only its constant runs' text, the exact-fallback lists and the stripped
+    pieces.
+    """
+    words, piece, f, _, _, b = scratch
+    rows, k = values.shape
+    runs = _column_runs(values, b[0, :rows])
+    kv = sum(c1 - c0 for c0, c1, text in runs if text is None)
+    if kv:
+        _value_words(values, runs, kv, scratch)
+    layout = words[:rows * kv]
+    if kv < k:  # each row: the kernel's words of the varying runs between the constant runs'
+        kernel = layout.reshape(rows, 5 * kv)
+        parts, v = [], 0
+        for c0, c1, text in runs:
+            if text is None:
+                text, v = kernel[:, v:v + 5 * (c1 - c0)], v + 5 * (c1 - c0)
+            parts.append(text)
+        # in the float arrays, which the kernel is done with: a constant value's text and
+        # separator take at most 20 bytes, so a row takes at most 5 k words
+        width = sum(part.shape[-1] for part in parts)
+        layout = f.view(np.uint64).reshape(-1)[:rows * width].reshape(rows, width)
+        start = 0
+        for part in parts:
+            layout[:, start:start + part.shape[-1]] = part  # a constant run broadcasts down
+            start += part.shape[-1]
+    text = memoryview(layout).cast("B")
+    for start in range(0, len(text), _PIECE):
+        piece[:] = text[start:start + _PIECE]  # a shorter piece keeps the allocation
+        yield piece.translate(None, b"\0")
+
+
+def _value_words(values: np.ndarray, runs: list, kv: int, scratch) -> None:
+    """The five words of each value of the varying runs, kv columns, into scratch's words.
+
+    The values, in row order, are those of the chunk itself when every column
+    varies, or else gathered into a float array of the working set. The last
+    varying column's suffixes end a row only if it is the row's last column.
     """
     groups, marks, modulus, mul, div, prefix, suffix = _tables()
-    words, piece, f, i, u, b = scratch
+    words, _, f, i, u, b = scratch
     rows, k = values.shape
-    x = values.ravel()
-    m = x.size
+    m = rows * kv
     f0, f1, f2, f3, f4 = f[:, :m]
     xi, mark, idx, step = i[:, :m]
     u0, u1 = u[:, :m]
     fast, b1, b2, b3 = b[:, :m]
+    x = values.ravel()
+    if kv < k:  # gathered into f4, which is written only after x's last read
+        x = f4
+        np.concatenate([values[:, c0:c1] for c0, c1, text in runs if text is None], axis=1,
+                       out=x.reshape(rows, kv))
 
     a = np.abs(x, out=f0)
     np.greater_equal(a, _LO, out=fast)
@@ -161,6 +246,10 @@ def _format_rows(values: np.ndarray, scratch) -> Iterator[bytearray]:
     xi += carry
     np.copyto(mant, 0.0, where=zero)  # with X = 0 from a = 1, the words spell "0" (or "-0")
     fast |= zero
+    np.multiply(np.signbit(x, out=b1), _NX, out=idx)
+    idx += xi
+    slow = np.flatnonzero(np.logical_not(fast, out=b1))
+    exact = x[slow].tolist()
     g1 = np.floor(np.divide(mant, 1e8, out=f0), out=f0)
     rest = np.subtract(mant, np.multiply(g1, 1e8, out=f1), out=f1)
     g2 = np.floor(np.divide(rest, 1e4, out=f3), out=f3)
@@ -170,26 +259,22 @@ def _format_rows(values: np.ndarray, scratch) -> Iterator[bytearray]:
     mark += np.not_equal(after, np.floor(after, out=f2), out=b1)
     tail3 = np.equal(g3, 0.0, out=b2)
     tail2 = np.logical_and(tail3, np.equal(g2, 0.0, out=b3), out=b3)
-    np.multiply(np.signbit(x, out=b1), _NX, out=idx)
-    idx += xi
     words[:m, 0] = np.take(prefix, idx, out=u0, mode="clip")
-    for j, (g, tail) in enumerate(((g1, tail2), (g2, tail3), (g3, True))):
+    for j, (g, tail) in enumerate(((g1, tail2), (g2, tail3), (g3, None))):
         np.copyto(idx, g, casting="unsafe")
-        idx += np.multiply(tail, 10000, out=step)  # a ufunc's where= is several times slower
+        # the last group is always stripped; a ufunc's where= is several times slower
+        idx += 10000 if tail is None else np.multiply(tail, 10000, out=step)
         np.bitwise_or(np.take(groups, idx, out=u0, mode="clip"),
                       np.take(marks[j], mark, out=u1, mode="clip"), out=words[:m, j + 1])
     np.copyto(idx, xi)
-    idx.reshape(rows, k)[:, -1] += _NX  # the suffixes that end a row
+    last = kv - 1 if runs[-1][2] is None else -1  # the varying column that ends a row, if any
+    if last >= 0:
+        idx.reshape(rows, kv)[:, -1] += _NX  # its suffixes
     words[:m, 4] = np.take(suffix, idx, out=u0, mode="clip")
-    slow = np.flatnonzero(np.logical_not(fast, out=b1))
     if slow.size:
-        seps = np.where(slow % k == k - 1, "\r\n", ",").tolist()
-        exact = [FLOAT_FMT % v + sep for v, sep in zip(x[slow].tolist(), seps)]
-        words[slow] = np.array(exact, "S40").view(np.uint64).reshape(-1, 5)
-    text = memoryview(words[:m]).cast("B")
-    for start in range(0, len(text), _PIECE):
-        piece[:] = text[start:start + _PIECE]  # a shorter piece keeps the allocation
-        yield piece.translate(None, b"\0")
+        seps = np.where(slow % kv == last, "\r\n", ",").tolist()
+        text = [FLOAT_FMT % v + sep for v, sep in zip(exact, seps)]
+        words[slow] = np.array(text, "S40").view(np.uint64).reshape(-1, 5)
 
 
 def write_columns_csv(path, header: list[str], columns: list) -> None:

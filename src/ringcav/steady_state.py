@@ -281,14 +281,13 @@ def _steady_transmission(y2, delta_c, delta_a, cooperativity, kappa_ratio,
     No cubic is solved at a scalar y2 == 0, the weak limit where u = 0 is the
     only root, nor without partials at a scalar cooperativity == 0, where T's
     atom term 4C (1 - i delta_a)/D is +-0 at any finite D and u = 0 gives T
-    bit for bit (after the solver's input checks; an overflowing D is
-    refused). With partials=True also returns dT/d(y2, delta_c, delta_a,
+    bit for bit; both still run the solver's input checks and refuse an
+    overflowing D. With partials=True also returns dT/d(y2, delta_c, delta_a,
     cooperativity, kappa_ratio), the root differentiated implicitly,
     du/dtheta = -(dG/dtheta)/G'(u); NaN where G'(u) is rounding noise (a double root).
     """
-    if np.ndim(y2) == 0 and y2 == 0.0:
-        u = np.zeros(np.broadcast(delta_c, delta_a).size)
-    elif not partials and np.ndim(cooperativity) == 0 and cooperativity == 0.0:
+    if (np.ndim(y2) == 0 and y2 == 0.0
+            or not partials and np.ndim(cooperativity) == 0 and cooperativity == 0.0):
         grid = _solver_rows(y2, delta_c, delta_a, cooperativity)
         wide = np.flatnonzero(np.abs(grid[2]) >= 2.0 ** 512)  # where delta_a^2 overflows
         if wide.size:

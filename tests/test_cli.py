@@ -525,16 +525,19 @@ def test_spectrum_gamma_perp_below_its_floor_exits_2_naming_it(runner, tmp_path,
                                "(-1e+308, -1e+308) MHz"),
     ("--span-mhz", "1e303", "center_mhz 0.0 and span_mhz 1e+303 put the grid's ends at "
                             "(-5e+302, 5e+302) MHz"),
-], ids=["center-up", "center-down", "span"])
+    ("--span-mhz", "1e302", "center_mhz 0.0 and span_mhz 1e+302 put the grid's ends at "
+                            "(-5e+301, 5e+301) MHz"),
+], ids=["center-up", "center-down", "span", "span-rad"])
 def test_spectrum_grid_end_beyond_hz_floats_exits_2_naming_it(runner, tmp_path, monkeypatch,
                                                               option, value, message):
-    # grid_mhz * 1e6 overflowed, warned twice and blamed a non-monotone grid
+    # grid_mhz * 1e6 overflowed, warned twice and blamed a non-monotone grid; at span 1e302
+    # the ends are finite in Hz, but omega = 2 pi nu overflowed and the solver was blamed
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = runner.invoke(main, ["spectrum", option, value, "--points", "5"])
     assert result.exit_code == 2, result.output
-    assert result.stderr == f"error: {message}, not all finite in Hz\n"
+    assert result.stderr == f"error: {message}, not all finite in rad/s\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -549,6 +552,21 @@ def test_spectrum_at_zero_cooperativity_refuses_an_overflowing_atom_term(runner,
     assert result.exit_code == 3, result.output
     assert result.stderr == ("error: D = 1 + delta_a^2 overflows at grid index 0 "
                              "(in spectrum sweep)\n")
+
+
+@pytest.mark.parametrize("option, value", [("--span-mhz", "1e300"),
+                                           ("--atom-offset-mhz", "1e300")])
+def test_spectrum_in_the_weak_limit_refuses_an_overflowing_atom_term(runner, tmp_path,
+                                                                     monkeypatch, option, value):
+    # at y = 0 no cubic is solved either; it warned and wrote T = 1 where D overflowed
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["spectrum", "--y", "0", option, value, "--points", "5"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == ("error: D = 1 + delta_a^2 overflows at grid index 0 "
+                             "(in spectrum sweep)\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("source", ["option", "params", "rerun"])

@@ -198,6 +198,17 @@ def _seam_values():
     return np.concatenate([near, -near, specials])
 
 
+def _constant_columns(n):
+    """Columns of n values that are one float64 bit pattern each.
+
+    Both zeros, NaN, both infinities, the smallest subnormal, 1e300, an exact
+    13-digit tie (within the kernel's tie margin), and int64 values above 2**53
+    that round to one float.
+    """
+    values = [-0.0, 0.0, np.nan, -np.inf, np.inf, 5e-324, 1e300, 1234567890125.0]
+    return [np.full(n, v) for v in values] + [np.resize(np.array([2**53, 2**53 + 1]), n)]
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_write_columns_csv_seams_match_reference(tmp_path, k):
     seams = _seam_values()
@@ -207,6 +218,29 @@ def test_write_columns_csv_seams_match_reference(tmp_path, k):
     # 0 and 1 rows, and runs that straddle one and two chunks
     for n in [0, 1, rows - 1, rows, rows + 1, 2 * rows + 7]:
         _assert_matches_reference(tmp_path, [np.resize(base, n) for base in bases[:k]])
+    n = 2 * rows + 7
+    varying = [np.resize(base, n) for base in bases[:k]]
+    for m in [1, n]:
+        constants = _constant_columns(m)
+        for i, constant in enumerate(constants):
+            # a constant first, middle or last column between varying ones
+            columns = [c[:m] for c in varying]
+            columns[(0, k // 2, k - 1)[i % 3]] = constant
+            _assert_matches_reference(tmp_path, columns)
+            # every column constant
+            _assert_matches_reference(tmp_path, [constants[(i + j) % len(constants)]
+                                                 for j in range(k)])
+    # a column constant in one chunk and varying in the next, and the reverse
+    for switch in [rows - 1, rows, rows + 1]:
+        for head, tail in [(np.full(n, 0.5), varying[0]), (varying[0], np.full(n, -0.0))]:
+            columns = list(varying)
+            columns[k // 2] = np.concatenate([head[:switch], tail[switch:]])
+            _assert_matches_reference(tmp_path, columns)
+    # one value in the middle of a chunk differs in its bits alone (0.0 among -0.0)
+    columns = list(varying)
+    columns[k - 1] = np.full(n, -0.0)
+    columns[k - 1][[rows // 2, rows + rows // 2]] = 0.0
+    _assert_matches_reference(tmp_path, columns)
 
 
 @pytest.mark.parametrize("column", [
