@@ -13,6 +13,10 @@ fit specification read from ``--fitspec`` (``fitspec``) and
 other key. So renaming a click parameter changes the manifest format, and
 ``rerun`` of a manifest written before the rename fails.
 
+One check runs on both paths: ``_execute`` passes every command's resolved
+dict, built from its options or read by ``rerun``, through ``_check_input``
+before any runner; the runners check only relations between values.
+
 Exit codes: 2 invalid input or configuration, 3 solver failure, 4 fit did
 not converge, 5 degenerate fit (suppress with --allow-degenerate), 6 lock
 lost. Each is the ``exit_code`` of the error's class (see errors.py); one
@@ -34,7 +38,8 @@ from . import __version__, fitting, io, ring
 from . import steady_state as ss
 from . import thermal
 from .errors import DegenerateFit, RingcavError
-from .params import NOMINAL, SECTION_KEYS, THERMAL_DEFAULTS, merge_document, params_from_dict
+from .params import (NOMINAL, SECTION_KEYS, THERMAL_DEFAULTS, is_finite, is_number,
+                     merge_document, params_from_dict)
 from .peaks import measure_splitting
 from .units import mhz_to_rad, rad_to_mhz
 
@@ -47,6 +52,7 @@ _BRANCHES = {
 
 
 def _execute(command: str, resolved: dict):
+    _check_input(command, resolved)
     for path in RUNNERS[command](resolved):
         click.echo(f"wrote {path}")
 
@@ -105,10 +111,28 @@ def _recorded_keys(command: str) -> set:
     return keys
 
 
-def _check_resolved(command: str, resolved: dict) -> None:
-    """Reject keys the command does not record, and recorded option values of
-    the wrong JSON type, before a runner reads them.
-    """
+#: most points one grid may have: a 10**6-point spectrum takes about 2 s and
+#: 270 MB and writes 30 MB of CSV (2-CPU x86-64); a larger grid is refused
+#: before anything is allocated
+MAX_POINTS = 10 ** 6
+
+_EMPTY_FREE = ("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz")
+
+#: each command's bounds on a number, by click parameter name. A spectrum's
+#: detuning grid must be strictly monotone, so of 2 points or more. A
+#: synthesis truth outside the ring model's bounds, such as a vanishing FSR,
+#: would overflow the ring's phase; it could not be fit back either.
+_BOUNDS = {
+    "spectrum": {"points": (2, MAX_POINTS), "noise": (0.0, math.inf)},
+    "saturation": {"points": (1, MAX_POINTS)},
+    "empty-cavity": {"points": (1, MAX_POINTS), "noise": (0.0, math.inf),
+                     **{name: fitting.MODELS["empty_ring"].bounds[name] for name in _EMPTY_FREE}},
+}
+
+
+def _check_input(command: str, resolved: dict) -> None:
+    """Refuse keys the command does not record, option values of the wrong JSON
+    type, and numbers that are not finite or lie outside the command's _BOUNDS."""
     unknown = set(resolved) - _recorded_keys(command)
     if unknown:
         raise ValueError(f"manifest 'resolved' holds keys {command} does not record: "
@@ -129,33 +153,21 @@ def _check_resolved(command: str, resolved: dict) -> None:
         if not isinstance(values, list) or not all(_json_fits(param.type, v) for v in values):
             raise ValueError(f"manifest value {param.name!r} does not fit option "
                              f"{param.opts[0]} ({param.type.name}): {value!r}")
+    _check_numbers(resolved, _BOUNDS.get(command, {}))
 
 
-def _check_finite(resolved: dict) -> None:
-    """Refuse a NaN or infinite float in a resolved dict, nested dicts included.
-
-    No command reads one as a setting, and the manifest, which records the
-    resolved dict as JSON, could not hold it.
-    """
-    for key, value in resolved.items():
+def _check_numbers(values: dict, bounds: dict) -> None:
+    """Refuse a number, nested dicts included, that is not finite or within bounds: no
+    setting is NaN or infinite, and the manifest's JSON could not record one."""
+    for key, value in values.items():
         if isinstance(value, dict):
-            _check_finite(value)
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-
-
-#: most points one grid may have: a 10**6-point spectrum takes about 2 s and
-#: 270 MB and writes 30 MB of CSV (2-CPU x86-64); a larger grid is refused
-#: before anything is allocated
-MAX_POINTS = 10 ** 6
-
-
-def _check_points(points: int, fewest: int = 1) -> None:
-    """Refuse a grid of fewer than fewest points, or of more than MAX_POINTS, before it exists."""
-    if points < fewest:
-        raise ValueError(f"points must be >= {fewest}, got {points!r}")
-    if points > MAX_POINTS:
-        raise ValueError(f"{points} points is more than MAX_POINTS={MAX_POINTS}")
+            _check_numbers(value, bounds)
+        elif is_number(value):
+            if not is_finite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            lo, hi = bounds.get(key, (-math.inf, math.inf))
+            if not lo <= value <= hi:
+                raise ValueError(f"{key} must be in [{lo!r}, {hi!r}], got {value!r}")
 
 
 def _finish(command: str, resolved: dict, inputs: list, outputs: list) -> list:
@@ -229,17 +241,17 @@ def main():
 # ---------------------------------------------------------------- spectrum
 
 def _run_spectrum(r: dict) -> list:
-    _check_finite(r)
     cavity, ensemble, drive = params_from_dict(r["doc"])
-    if r["noise"] < 0:
-        raise ValueError(f"noise must be >= 0, got {r['noise']!r}")
-    # a spectrum's detuning grid must be strictly monotone, so of 2 points or more
-    _check_points(r["points"], fewest=2)
     half = r["span_mhz"] / 2.0
     ends = (r["center_mhz"] - half, r["center_mhz"] + half)
-    if not all(math.isfinite(mhz_to_rad(end)) for end in ends):  # the spectrum's omega
+    omegas = [mhz_to_rad(end) for end in ends]  # the spectrum's omega at the grid's ends
+    if not all(math.isfinite(omega) for omega in omegas):
         raise ValueError(f"center_mhz {r['center_mhz']!r} and span_mhz {r['span_mhz']!r} put the "
                          f"grid's ends at {ends} MHz, not all finite in rad/s")
+    offset = mhz_to_rad(r["atom_offset_mhz"])  # inf where 2 pi offset is not finite
+    if not all(math.isfinite(omega - offset) for omega in omegas):  # delta_a's numerator
+        raise ValueError(f"atom_offset_mhz {r['atom_offset_mhz']!r} puts the atomic detunings at "
+                         f"the grid's ends, {ends} MHz minus it, not all finite in rad/s")
     grid_mhz = np.linspace(*ends, r["points"])
     t = ss.spectrum(
         grid_mhz * 1e6,
@@ -284,11 +296,9 @@ def spectrum(params_path, **options):
 # -------------------------------------------------------------- saturation
 
 def _run_saturation(r: dict) -> list:
-    _check_finite(r)
     cavity, ensemble, _ = params_from_dict(r["doc"])
     if not (0 < r["pmin_w"] < r["pmax_w"]):
         raise ValueError(f"need 0 < pmin ({r['pmin_w']!r}) < pmax ({r['pmax_w']!r})")
-    _check_points(r["points"])
     powers = np.logspace(np.log10(r["pmin_w"]), np.log10(r["pmax_w"]), r["points"])
     t_atoms = fitting.saturation_curve(powers, cavity, ensemble)
     empty = replace(ensemble, cooperativity=0.0)
@@ -363,7 +373,6 @@ def _load_dataset(path) -> fitting.Dataset:
 
 
 def _run_fit(r: dict) -> list:
-    _check_finite(r)
     r["fitspec"] = _unbounded_as_null(r["fitspec"])  # as the manifest records it
     data = _load_dataset(r["data"])
     spec = _fitspec_from_doc(r["fitspec"])
@@ -399,8 +408,6 @@ def fit(fitspec_path, **options):
 
 # ------------------------------------------------------------ empty-cavity
 
-_EMPTY_FREE = ("finesse", "fsr_mhz", "dip_transmission", "nu0_mhz")
-
 #: most FSRs of its truth a synthesized empty-cavity scan may span: the
 #: default 340 MHz covers 2.3 at the reference 148 MHz, and at 1e300 MHz the
 #: fit's jacobian column norms and squared singular values overflow
@@ -408,22 +415,11 @@ MAX_SYNTH_FSRS = 1000
 
 
 def _run_empty_cavity(r: dict) -> list:
-    _check_finite(r)
-    if r["noise"] < 0:
-        raise ValueError(f"noise must be >= 0, got {r['noise']!r}")
     spec = fitting.FitSpec(model="empty_ring", free=_EMPTY_FREE)
     if r["data"] is not None:
         data = _load_dataset(r["data"])
         inputs = [r["data"]]
     else:
-        _check_points(r["points"])
-        # a truth outside the model's bounds, such as a vanishing FSR, would
-        # overflow the ring's phase; it could not be fit back either
-        for name, value in r["truth"].items():
-            lo, hi = fitting.MODELS["empty_ring"].bounds[name]
-            if not (lo <= value <= hi):
-                raise ValueError(f"{name} must be in [{lo!r}, {hi!r}] to synthesize, "
-                                 f"got {value!r}")
         fsrs = abs(r["span_mhz"]) / r["truth"]["fsr_mhz"]
         if not (fsrs <= MAX_SYNTH_FSRS):
             raise ValueError(f"span_mhz {r['span_mhz']!r} covers {fsrs:.3g} FSRs of "
@@ -517,13 +513,8 @@ def _run_lock(r: dict) -> list:
         dt=r["dt_s"] if r["dt_s"] is not None else base.dt,
     )
     mode = r["mode"]
-    if mode not in ("hold", "step"):
-        span = r["span_mhz"] * 1e6 if r["span_mhz"] is not None else None
-        rate, span = thermal.scan_window(therm, cavity, r["scan_rate_hz_per_s"], span)
-    # the thermal and lock settings and a scan's window are checked above,
-    # with the library's own messages; an option the mode does not read would
-    # otherwise reach only the manifest
-    _check_finite(r)
+    rate = r["scan_rate_hz_per_s"]
+    span = r["span_mhz"] * 1e6 if r["span_mhz"] is not None else None
     out = Path(r["output"])
     metrics_path = out.with_name(out.stem + "_metrics.json")
     outputs = [out, metrics_path]
@@ -682,7 +673,6 @@ def rerun(manifest):
     resolved = _manifest_object(doc["resolved"], "manifest 'resolved'")
     if not isinstance(command, str) or command not in RUNNERS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    _check_resolved(command, resolved)
     _execute(command, resolved)
 
 

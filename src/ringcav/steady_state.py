@@ -121,7 +121,9 @@ def _largest_root(c3, c2, c1, c0):
     real cubic equation", 1986), clamped to >= 0 and Newton-polished. Newton
     shrinks a root far below 1 by only ~1e-16 per step, so a root of order
     -c0/c1 (1e-258 at y ~ 1e-129) would end at 0 with residual c0; one step
-    of u = -c0 / (c1 + u (c2 + c3 u)) lands on it, kept where it lowers |G|.
+    of u = -c0 / (c1 + u (c2 + c3 u)) lands on it, kept where it lowers |G|
+    and certifies: at a large y^2 the Newton root's |G| is rounding noise,
+    and a step that lowers it can land on a negative or a wrong small point.
     """
     p = c2 / c3
     q = c1 / c3
@@ -136,9 +138,13 @@ def _largest_root(c3, c2, c1, c0):
         u[three] = m * np.cos(np.arccos(np.clip(3.0 * b[three] / (a[three] * m), -1.0, 1.0)) / 3.0)
     u = _newton(np.maximum(u - p / 3.0, 0.0), c3, c2, c1, c0)
     step = -c0 / (c1 + u * (c2 + c3 * u))
-    g_step, g_u = np.abs(_cubic(step, c3, c2, c1, c0)), np.abs(_cubic(u, c3, c2, c1, c0))
-    lower = g_step < g_u
-    u, g = np.where(lower, step, u), np.where(lower, g_step, g_u)
+    g_step, g = np.abs(_cubic(step, c3, c2, c1, c0)), np.abs(_cubic(u, c3, c2, c1, c0))
+    wins = np.flatnonzero(g_step < g)
+    if wins.size:
+        landed = step[wins]
+        keep = wins[(landed >= 0.0) & ~_uncertified(landed, g_step[wins],
+                                                    *(c[wins] for c in (c3, c2, c1, c0)))]
+        u[keep], g[keep] = step[keep], g_step[keep]
     return np.maximum(u, 0.0), np.where(u < 0.0, np.abs(c0), g)  # clamped to 0, G = c0
 
 

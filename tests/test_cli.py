@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ringcav import cli, errors, fitting, io, thermal
 from ringcav.cli import main
 from ringcav.errors import DegenerateFit
+from ringcav.params import SECTION_KEYS
 
 
 @pytest.fixture()
@@ -318,7 +320,7 @@ def test_lock_lost_exits_6(runner, tmp_path, monkeypatch):
 @pytest.mark.parametrize("rate, message", [
     # each step jumps about 6 linewidths, so the up scan never dwells
     ("1e11", "scan_rate=100000000000.0 Hz/s and dt=0.00025 s"),
-    ("inf", "scan_rate must be finite"),
+    ("inf", "scan_rate_hz_per_s must be finite, got inf"),
 ])
 def test_lock_fast_scan_both_exits_2(runner, tmp_path, monkeypatch, rate, message):
     # a single scan refuses the rate as the pair does
@@ -406,15 +408,17 @@ def test_lock_step_overflowing_to_inf_exits_2_before_allocating(runner, tmp_path
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["spectrum", "saturation", "empty-cavity"])
-def test_grid_point_cap_exits_2_before_allocating(runner, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command, fewest", [("spectrum", 2), ("saturation", 1),
+                                             ("empty-cavity", 1)])
+def test_grid_point_cap_exits_2_before_allocating(runner, tmp_path, monkeypatch, command,
+                                                  fewest):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "np", _NoAllocation())
     points = cli.MAX_POINTS + 1
     result = runner.invoke(main, [command, "--points", str(points)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"{points} points is more than MAX_POINTS={cli.MAX_POINTS}" in result.stderr
+    assert result.stderr == f"error: points must be in [{fewest}, {cli.MAX_POINTS}], got {points}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -451,24 +455,64 @@ def test_lock_rejects_non_finite_settings(runner, tmp_path, monkeypatch, option,
             json.loads(path.read_text(), parse_constant=_no_constant)
 
 
-_FLOATS = [(command, p.opts[0]) for command in ("spectrum", "saturation", "empty-cavity")
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """The manifest of one cheap run of each command, to edit and replay."""
+    runs = {"spectrum": ["--points", "11"], "saturation": ["--points", "5"],
+            "empty-cavity": ["--points", "301"], "lock": ["--duration-s", "0.05"]}
+    recorded = {}
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path_factory.mktemp("manifests")):
+        for command, args in runs.items():
+            result = runner.invoke(main, [command, *args, "--output", "out"],
+                                   catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            recorded[command] = io.read_json("out.manifest.json")
+    return recorded
+
+
+def _rerun_with(runner, manifest: dict, name: str, value):
+    """rerun of manifest with click parameter name set to value where the
+    command records it: in doc, in truth or at the top level of resolved."""
+    manifest = copy.deepcopy(manifest)
+    resolved = manifest["resolved"]
+    section = [s for s, keys in SECTION_KEYS.items() if name in keys]
+    if "truth" in resolved and name in resolved["truth"]:
+        resolved["truth"][name] = value
+    elif "doc" in resolved and section:
+        resolved["doc"][section[0]][name] = value
+    else:
+        resolved[name] = value
+    with open("m.json", "w") as fh:
+        json.dump(manifest, fh)
+    return runner.invoke(main, ["rerun", "m.json"])
+
+
+_FLOATS = [(command, p.opts[0], p.name)
+           for command in ("spectrum", "saturation", "empty-cavity", "lock")
            for p in main.commands[command].params
            if isinstance(p.type, click.types.FloatParamType)]
 
 
+@pytest.mark.parametrize("path", ["option", "rerun"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-@pytest.mark.parametrize("command, option", _FLOATS)
+@pytest.mark.parametrize("command, option, name", _FLOATS)
 def test_non_finite_float_options_exit_2_before_any_work(runner, tmp_path, monkeypatch,
-                                                         command, option, value):
+                                                         manifests, command, option, name,
+                                                         value, path):
+    # one check refuses the value on the option path and in a manifest's resolved
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = runner.invoke(main, [command, f"{option}={value}"])
+        if path == "option":
+            result = runner.invoke(main, [command, f"{option}={value}"])
+        else:
+            result = _rerun_with(runner, manifests[command], name, float(value))
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr.startswith("error: ") and "must be finite" in result.stderr
+    assert result.stderr == f"error: {name} must be finite, got {float(value)!r}\n"
     assert not caught
-    assert not list(tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == (["m.json"] if path == "rerun" else [])
 
 
 @pytest.mark.parametrize("option, value", [("--fsr-mhz", "5e-324"),
@@ -485,8 +529,7 @@ def test_empty_cavity_truth_outside_the_bounds_exits_2_before_any_work(runner, t
         result = runner.invoke(main, ["empty-cavity", option, value])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == (f"error: {name} must be in [{lo!r}, {hi!r}] to synthesize, "
-                             f"got {float(value)!r}\n")
+    assert result.stderr == f"error: {name} must be in [{lo!r}, {hi!r}], got {float(value)!r}\n"
     assert not caught
     assert not list(tmp_path.iterdir())
 
@@ -518,24 +561,31 @@ def test_spectrum_gamma_perp_below_its_floor_exits_2_naming_it(runner, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("option, value, message", [
-    ("--center-mhz", "1e308", "center_mhz 1e+308 and span_mhz 40.0 put the grid's ends at "
-                              "(1e+308, 1e+308) MHz"),
-    ("--center-mhz", "-1e308", "center_mhz -1e+308 and span_mhz 40.0 put the grid's ends at "
-                               "(-1e+308, -1e+308) MHz"),
-    ("--span-mhz", "1e303", "center_mhz 0.0 and span_mhz 1e+303 put the grid's ends at "
-                            "(-5e+302, 5e+302) MHz"),
-    ("--span-mhz", "1e302", "center_mhz 0.0 and span_mhz 1e+302 put the grid's ends at "
-                            "(-5e+301, 5e+301) MHz"),
-], ids=["center-up", "center-down", "span", "span-rad"])
+@pytest.mark.parametrize("args, message", [
+    (["--center-mhz", "1e308"], "center_mhz 1e+308 and span_mhz 40.0 put the grid's ends at "
+                                "(1e+308, 1e+308) MHz"),
+    (["--center-mhz", "-1e308"], "center_mhz -1e+308 and span_mhz 40.0 put the grid's ends at "
+                                 "(-1e+308, -1e+308) MHz"),
+    (["--span-mhz", "1e303"], "center_mhz 0.0 and span_mhz 1e+303 put the grid's ends at "
+                              "(-5e+302, 5e+302) MHz"),
+    (["--span-mhz", "1e302"], "center_mhz 0.0 and span_mhz 1e+302 put the grid's ends at "
+                              "(-5e+301, 5e+301) MHz"),
+    (["--atom-offset-mhz", "1e303"], "atom_offset_mhz 1e+303 puts the atomic detunings at the "
+                                     "grid's ends, (-20.0, 20.0) MHz minus it"),
+    (["--span-mhz", "5e301", "--atom-offset-mhz", "-2.8e301"],
+     "atom_offset_mhz -2.8e+301 puts the atomic detunings at the grid's ends, "
+     "(-2.5e+301, 2.5e+301) MHz minus it"),
+], ids=["center-up", "center-down", "span", "span-rad", "offset", "offset-from-end"])
 def test_spectrum_grid_end_beyond_hz_floats_exits_2_naming_it(runner, tmp_path, monkeypatch,
-                                                              option, value, message):
+                                                              args, message):
     # grid_mhz * 1e6 overflowed, warned twice and blamed a non-monotone grid; at span 1e302
-    # the ends are finite in Hz, but omega = 2 pi nu overflowed and the solver was blamed
+    # the ends are finite in Hz, but omega = 2 pi nu overflowed and the solver was blamed.
+    # Where 2 pi offset, or an end minus it, was not finite in rad/s, neither was delta_a:
+    # the solver refused a non-finite input, after an overflow warning in the second case
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = runner.invoke(main, ["spectrum", option, value, "--points", "5"])
+        result = runner.invoke(main, ["spectrum", *args, "--points", "5"])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {message}, not all finite in rad/s\n"
     assert not list(tmp_path.iterdir())
@@ -606,19 +656,25 @@ def test_non_finite_fitspec_values_exit_2(runner, tmp_path, monkeypatch, slot, v
         assert f"{value} must be finite" in result.stderr
 
 
-@pytest.mark.parametrize("args, message", [
-    (["spectrum", "--noise", "-0.1"], "noise must be >= 0"),
-    (["empty-cavity", "--noise", "-0.1"], "noise must be >= 0"),
-    (["saturation", "--points", "0"], "points must be >= 1"),
-    (["spectrum", "--points", "1"], "points must be >= 2"),
+@pytest.mark.parametrize("path", ["option", "rerun"])
+@pytest.mark.parametrize("command, name, value, bounds", [
+    ("spectrum", "noise", -0.1, "[0.0, inf]"),
+    ("empty-cavity", "noise", -0.1, "[0.0, inf]"),
+    ("saturation", "points", 0, "[1, 1000000]"),
+    ("spectrum", "points", 1, "[2, 1000000]"),
+    ("empty-cavity", "fsr_mhz", 0.5, "[1.0, 100000.0]"),
 ])
-def test_negative_noise_and_empty_power_grid_exit_2(runner, tmp_path, monkeypatch, args,
-                                                    message):
+def test_values_outside_their_bounds_exit_2_on_both_paths(runner, tmp_path, monkeypatch,
+                                                          manifests, command, name, value,
+                                                          bounds, path):
     monkeypatch.chdir(tmp_path)
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2
-    assert message in result.stderr
-    assert not list(tmp_path.iterdir())
+    if path == "option":
+        result = runner.invoke(main, [command, "--" + name.replace("_", "-"), str(value)])
+    else:
+        result = _rerun_with(runner, manifests[command], name, value)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {name} must be in {bounds}, got {value!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["m.json"] if path == "rerun" else [])
 
 
 def test_lock_help_defaults_are_the_library_defaults(runner, cavity):

@@ -104,6 +104,20 @@ def test_roots_match_oracle_over_the_full_domain(y2, dc, da, c):
     np.testing.assert_allclose(roots[0, : counts[0]], ref, rtol=1e-7, atol=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(y2=st.floats(0.0, 1e16), dc=detunings, da=detunings, c=st.floats(0.0, 50.0))
+# the tiny-root step lowered |G| below the Newton root's rounding noise here
+# and landed on a point that failed certification
+@example(y2=1e14, dc=9.0, da=0.0, c=1.5)
+@example(y2=1e16, dc=0.0, da=0.0, c=5.0)
+def test_roots_match_oracle_up_to_high_drives(y2, dc, da, c):
+    # every root certifies (else NumericalInstability) and matches the oracle's
+    roots, counts = ss._roots_grid(y2, dc, da, c)
+    ref = oracles.intensity_roots_bracketing(y2, dc, da, c)
+    assert counts[0] == len(ref)
+    np.testing.assert_allclose(roots[0, : counts[0]], ref, rtol=1e-7, atol=1e-12)
+
+
 def _fold_drives(dc, da, c):
     """The y^2 > 0 at which two roots of the intensity cubic merge.
 
@@ -404,14 +418,14 @@ def test_blocked_solve_matches_row_by_row(cavity, ensemble, monkeypatch, rows):
 
 
 def test_certification_failures_across_blocks_are_reported_once():
-    # from y^2 of about 1.8e16 the closed-form seed loses the largest root
+    # beyond the certified drives: y^2 = 1e19 off resonance fails without an overflow
     block = ss.BLOCK_ROWS
     y2 = np.ones(2 * block + 7)
-    y2[[block, 2 * block, 2 * block + 6]] = 1e20  # the first rows of later blocks, the last row
+    y2[[block, 2 * block, 2 * block + 6]] = 1e19  # the first rows of later blocks, the last row
     with pytest.raises(NumericalInstability, match=(
             rf"^3 row\(s\) failed residual certification at tol 1e-09, "
             rf"first at grid index {block}$")):
-        ss._roots_grid(y2, 0.0, 0.0, 0.0)
+        ss._roots_grid(y2, -1.2, 0.0, 0.0)
 
 
 def test_resonant_highest_branch_transmits_no_more_than_lowest(cavity, ensemble):
