@@ -46,8 +46,8 @@ from .units import mhz_to_rad, rad_to_mhz
 _BRANCHES = {
     "lowest": ss.LOWEST,
     "highest": ss.HIGHEST,
-    "follow-up": ss.BranchPolicy(mode="follow_sweep", direction="up"),
-    "follow-down": ss.BranchPolicy(mode="follow_sweep", direction="down"),
+    "follow-up": ss.BranchPolicy("follow_sweep"),
+    "follow-down": ss.BranchPolicy("follow_sweep"),
 }
 
 
@@ -232,7 +232,7 @@ class _Main(click.Group):
             ctx.exit(getattr(exc, "exit_code", 2))
 
 
-@click.group(cls=_Main)
+@click.group(cls=_Main, context_settings={"show_default": True})
 @click.version_option(version=__version__)
 def main():
     """Fiber ring cavity simulator and estimation tools."""
@@ -242,6 +242,8 @@ def main():
 
 def _run_spectrum(r: dict) -> list:
     cavity, ensemble, drive = params_from_dict(r["doc"])
+    if not math.isfinite(ss.drive_y2(drive, cavity, ensemble.n_sat)):  # only a power: y <= MAX_Y
+        raise ValueError(f"input_power_w {drive.input_power!r} gives a drive y**2 that is not finite")
     half = r["span_mhz"] / 2.0
     ends = (r["center_mhz"] - half, r["center_mhz"] + half)
     omegas = [mhz_to_rad(end) for end in ends]  # the spectrum's omega at the grid's ends
@@ -253,14 +255,9 @@ def _run_spectrum(r: dict) -> list:
         raise ValueError(f"atom_offset_mhz {r['atom_offset_mhz']!r} puts the atomic detunings at "
                          f"the grid's ends, {ends} MHz minus it, not all finite in rad/s")
     grid_mhz = np.linspace(*ends, r["points"])
-    t = ss.spectrum(
-        grid_mhz * 1e6,
-        cavity,
-        ensemble,
-        drive,
-        atom_offset_hz=r["atom_offset_mhz"] * 1e6,
-        policy=_BRANCHES[r["branch"]],
-    )
+    sweep = -1 if r["branch"] == "follow-down" else 1  # follow-down sweeps the grid reversed
+    t = ss.spectrum(grid_mhz[::sweep] * 1e6, cavity, ensemble, drive,
+                    atom_offset_hz=r["atom_offset_mhz"] * 1e6, policy=_BRANCHES[r["branch"]])[::sweep]
     if r["noise"] > 0:
         rng = np.random.default_rng(r["seed"])
         t = t + rng.normal(0.0, r["noise"], t.shape)
@@ -277,17 +274,16 @@ def _run_spectrum(r: dict) -> list:
 @click.option("--n-sat", type=float, default=None)
 @click.option("--power-w", "input_power_w", type=float, default=None, help="Probe input power (W).")
 @click.option("--y", type=float, default=None, help="Dimensionless drive amplitude.")
-@click.option("--span-mhz", type=float, default=40.0, show_default=True)
-@click.option("--center-mhz", type=float, default=0.0, show_default=True)
-@click.option("--points", type=int, default=801, show_default=True)
-@click.option("--atom-offset-mhz", type=float, default=0.0, show_default=True,
+@click.option("--span-mhz", type=float, default=40.0)
+@click.option("--center-mhz", type=float, default=0.0)
+@click.option("--points", type=int, default=801)
+@click.option("--atom-offset-mhz", type=float, default=0.0,
               help="Atomic resonance offset from the cavity resonance.")
-@click.option("--branch", type=click.Choice(sorted(_BRANCHES)), default="lowest",
-              show_default=True)
-@click.option("--noise", type=float, default=0.0, show_default=True,
+@click.option("--branch", type=click.Choice(sorted(_BRANCHES)), default="lowest")
+@click.option("--noise", type=float, default=0.0,
               help="Additive Gaussian noise sigma on the transmission.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", type=click.Path(), default="spectrum.csv", show_default=True)
+@click.option("--seed", type=int, default=0)
+@click.option("--output", type=click.Path(), default="spectrum.csv")
 def spectrum(params_path, **options):
     """Simulate a probe transmission spectrum and write it as CSV."""
     _execute("spectrum", _load_doc(params_path, options))
@@ -299,6 +295,8 @@ def _run_saturation(r: dict) -> list:
     cavity, ensemble, _ = params_from_dict(r["doc"])
     if not (0 < r["pmin_w"] < r["pmax_w"]):
         raise ValueError(f"need 0 < pmin ({r['pmin_w']!r}) < pmax ({r['pmax_w']!r})")
+    if not math.isfinite(ss.drive_from_power(r["pmax_w"], cavity, ensemble.n_sat)):
+        raise ValueError(f"pmax_w {r['pmax_w']!r} gives a drive y**2 that is not finite")
     powers = np.logspace(np.log10(r["pmin_w"]), np.log10(r["pmax_w"]), r["points"])
     t_atoms = fitting.saturation_curve(powers, cavity, ensemble)
     empty = replace(ensemble, cooperativity=0.0)
@@ -313,10 +311,10 @@ def _run_saturation(r: dict) -> list:
 @click.option("--cooperativity", type=float, default=None)
 @click.option("--gamma-perp-mhz", type=float, default=None)
 @click.option("--n-sat", type=float, default=None)
-@click.option("--pmin-w", type=float, default=1e-12, show_default=True)
-@click.option("--pmax-w", type=float, default=1e-8, show_default=True)
-@click.option("--points", type=int, default=41, show_default=True)
-@click.option("--output", type=click.Path(), default="saturation.csv", show_default=True)
+@click.option("--pmin-w", type=float, default=1e-12)
+@click.option("--pmax-w", type=float, default=1e-8)
+@click.option("--points", type=int, default=41)
+@click.option("--output", type=click.Path(), default="saturation.csv")
 def saturation(params_path, **options):
     """Simulate on-resonance transmission vs probe power (log-spaced grid)."""
     _execute("saturation", _load_doc(params_path, options))
@@ -400,7 +398,7 @@ def _run_fit(r: dict) -> list:
               help="JSON with model, free, and optional fixed/bounds/init.")
 @click.option("--allow-degenerate", is_flag=True, default=False,
               help="Report an unconstrained fit instead of failing with code 5.")
-@click.option("--output", type=click.Path(), default="fit.json", show_default=True)
+@click.option("--output", type=click.Path(), default="fit.json")
 def fit(fitspec_path, **options):
     """Fit a registered model to CSV data; writes estimates and residuals."""
     _execute("fit", {"fitspec": io.read_json(fitspec_path), **options})
@@ -469,14 +467,13 @@ def _run_empty_cavity(r: dict) -> list:
               help="Synthesis truth; defaults derive from the reference rates.")
 @click.option("--fsr-mhz", type=float, default=None)
 @click.option("--dip-transmission", type=float, default=None)
-@click.option("--nu0-mhz", type=float, default=0.0, show_default=True)
-@click.option("--span-mhz", type=float, default=340.0, show_default=True,
+@click.option("--nu0-mhz", type=float, default=0.0)
+@click.option("--span-mhz", type=float, default=340.0,
               help="Synthesized scan width; cover two dips to pin the FSR.")
-@click.option("--points", type=int, default=3001, show_default=True)
-@click.option("--noise", type=float, default=0.01, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", type=click.Path(), default="empty_cavity.json",
-              show_default=True)
+@click.option("--points", type=int, default=3001)
+@click.option("--noise", type=float, default=0.01)
+@click.option("--seed", type=int, default=0)
+@click.option("--output", type=click.Path(), default="empty_cavity.json")
 def empty_cavity(**options):
     """Fit the bare ring lineshape and derive decay rates from it."""
     # a truth option counts as given when it was set, even to its default
@@ -548,16 +545,15 @@ def _run_lock(r: dict) -> list:
 def _thermal_option(key: str, **kwargs):
     """The lock option named after a THERMAL_DEFAULTS key, with that default."""
     return click.option("--" + key.replace("_", "-"), type=float,
-                        default=THERMAL_DEFAULTS[key], show_default=True, **kwargs)
+                        default=THERMAL_DEFAULTS[key], **kwargs)
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["hold", "step", "scan-up", "scan-down",
-                                           "scan-both"]),
-              default="hold", show_default=True)
+@click.option("--mode", type=click.Choice(["hold", "step", "scan-up", "scan-down", "scan-both"]),
+              default="hold")
 @click.option("--params", "params_path", type=click.Path(), default=None,
               help="JSON parameter document for the cavity section.")
-@click.option("--duration-s", type=float, default=0.5, show_default=True)
+@click.option("--duration-s", type=float, default=0.5)
 @_thermal_option("tau_th_s")
 @_thermal_option("shift_per_watt",
                  help="Resonance shift per absorbed watt (Hz/W, negative = red).")
@@ -568,13 +564,13 @@ def _thermal_option(key: str, **kwargs):
               help="Probe transmission setpoint; default mid-fringe.")
 @click.option("--dt-s", type=float, default=None,
               help="Integrator step; default tau_th/40.")
-@click.option("--step-linewidths", type=float, default=0.5, show_default=True)
-@click.option("--step-at-s", type=float, default=0.1, show_default=True)
+@click.option("--step-linewidths", type=float, default=0.5)
+@click.option("--step-at-s", type=float, default=0.1)
 @click.option("--scan-rate-hz-per-s", type=float, default=None,
               help="Heater scan rate; default one linewidth per 10 tau_th.")
 @click.option("--span-mhz", type=float, default=None,
               help="Scan span; default 60 linewidths.")
-@click.option("--output", type=click.Path(), default="lock.csv", show_default=True)
+@click.option("--output", type=click.Path(), default="lock.csv")
 def lock(params_path, **options):
     """Simulate thermal pulling: closed-loop holds, steps, or open scans."""
     _execute("lock", _load_doc(params_path, options))
@@ -582,14 +578,34 @@ def lock(params_path, **options):
 
 # ------------------------------------------------------------------ report
 
+def _measured_splitting(outputs: list) -> list:
+    cols = io.read_columns_csv(outputs[0])
+    split = measure_splitting(cols["detuning_mhz"], cols["transmission"])
+    return [("measured_splitting_mhz", f"{split:.6f}")]
+
+
+def _fitted_rates(outputs: list) -> list:
+    derived = io.read_json(outputs[-1])["derived"]
+    return [(f"fitted_{key}", f"{derived[key]:.6f}")
+            for key in ("finesse", "fsr_mhz", "fwhm_mhz", "kappa_i_mhz", "kappa_ex_mhz")]
+
+
+#: the summary rows each command's outputs give, read from its manifest's "outputs"
+_OUTPUT_ROWS = {
+    "spectrum": _measured_splitting,
+    "empty-cavity": _fitted_rates,
+    "lock": lambda outputs: [(key, f"{value:.6g}")
+                             for key, value in sorted(io.read_json(outputs[-1]).items())],
+}
+
+
 def _report_rows(manifest: dict) -> list:
     rows = []
     resolved = _manifest_object(manifest.get("resolved", {}), "manifest 'resolved'")
     doc = resolved.get("doc")
     if doc:
         cavity, ensemble, _ = params_from_dict(doc)
-        g_eff = ss.g_eff_from_nsat(ensemble.n_sat, ensemble.gamma_perp,
-                                   ensemble.gamma_par)
+        g_eff = ss.g_eff_from_nsat(ensemble.n_sat, ensemble.gamma_perp, ensemble.gamma_par)
         rows += [
             ("finesse", f"{cavity.finesse:.4f}"),
             ("fwhm_mhz", f"{cavity.fwhm_hz / 1e6:.6f}"),
@@ -599,27 +615,10 @@ def _report_rows(manifest: dict) -> list:
             ("n_eff",
              f"{ss.n_eff_from_c(ensemble.cooperativity, g_eff, cavity.kappa, ensemble.gamma_perp):.4f}"),
         ]
-    if manifest.get("command") == "spectrum":
-        try:
-            cols = io.read_columns_csv(manifest["outputs"][0])
-            split = measure_splitting(cols["detuning_mhz"], cols["transmission"])
-            rows.append(("measured_splitting_mhz", f"{split:.6f}"))
-        except (OSError, KeyError, ValueError, IndexError):
-            pass
-    if manifest.get("command") == "empty-cavity":
-        try:
-            payload = io.read_json(manifest["outputs"][-1])
-            for key in ("finesse", "fsr_mhz", "fwhm_mhz", "kappa_i_mhz", "kappa_ex_mhz"):
-                rows.append((f"fitted_{key}", f"{payload['derived'][key]:.6f}"))
-        except (OSError, KeyError, ValueError, IndexError):
-            pass
-    if manifest.get("command") == "lock":
-        try:
-            payload = io.read_json(manifest["outputs"][-1])
-            for key, value in sorted(payload.items()):
-                rows.append((key, f"{value:.6g}"))
-        except (OSError, ValueError, AttributeError):
-            pass
+    try:  # a command without a reader, or an output missing or malformed, adds no rows
+        rows += _OUTPUT_ROWS[manifest["command"]](manifest["outputs"])
+    except (OSError, LookupError, TypeError, ValueError, AttributeError):
+        pass
     return rows
 
 
@@ -654,7 +653,7 @@ def _run_report(r: dict) -> list:
 
 @main.command()
 @click.argument("manifests", nargs=-1, type=click.Path())
-@click.option("--output-dir", type=click.Path(), default="report", show_default=True)
+@click.option("--output-dir", type=click.Path(), default="report")
 def report(manifests, **options):
     """Summarize prior runs from their manifests and bundle the outputs."""
     if not manifests:

@@ -737,10 +737,7 @@ def _flat_directions(jac, sv, vt, names) -> list:
 def generate_synthetic(spec: FitSpec, x, truth: dict, noise_sigma: float = 0.0,
                        seed: int | None = None) -> Dataset:
     """Model curve plus additive Gaussian noise, for round-trip tests and demos."""
-    model = MODELS[spec.model]
-    full, _ = _resolve(spec)
-    full.update(truth)
-    y = model.func(np.asarray(x, dtype=float), full)[0]
+    y = evaluate_model(spec, truth, x)
     if noise_sigma:
         rng = np.random.default_rng(seed)
         y = y + rng.normal(0.0, noise_sigma, size=np.shape(y))

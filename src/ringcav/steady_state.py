@@ -51,22 +51,20 @@ BLOCK_ROWS = 4096
 class BranchPolicy:
     """Rule for choosing among multiple steady-state intensity roots.
 
-    mode is one of "lowest", "highest", "follow_sweep"; direction ("up" or
-    "down") orders the rows for follow_sweep. follow_sweep is branch
-    continuation: a run of three-root rows enters on the outer root nearest
-    the intensity of the row before the run (the lower on a tie, the lowest
-    at the first row) and keeps that branch to the run's end. Every mode
-    reports only roots with G'(u) > 0, the stable branches.
+    mode is one of "lowest", "highest", "follow_sweep". follow_sweep is
+    branch continuation along the grid in the order given: a run of
+    three-root rows enters on the outer root nearest the intensity of the
+    row before the run (the lower on a tie, the lowest at the first row) and
+    keeps that branch to the run's end; a sweep the other way is the
+    reversed grid. Every mode reports only roots with G'(u) > 0, the stable
+    branches.
     """
 
     mode: str = "lowest"
-    direction: str = "up"
 
     def __post_init__(self):
         if self.mode not in ("lowest", "highest", "follow_sweep"):
             raise ValueError(f"unknown branch mode {self.mode!r}")
-        if self.direction not in ("up", "down"):
-            raise ValueError(f"unknown sweep direction {self.direction!r}")
 
 
 LOWEST = BranchPolicy("lowest")
@@ -340,8 +338,6 @@ def select_branch(roots, counts, policy: BranchPolicy):
         return roots[:, 0]
     if policy.mode == "highest":
         return np.take_along_axis(roots, counts[:, None] - 1, axis=1)[:, 0]
-    if policy.direction == "down":
-        return select_branch(roots[::-1], counts[::-1], BranchPolicy("follow_sweep"))[::-1]
     step = np.diff((counts == 3).astype(int), prepend=0) == 1
     first = np.flatnonzero(step)
     before = roots[first - 1, 0]
@@ -423,7 +419,7 @@ def spectrum(
         Atomic transition minus cavity resonance, in Hz; 0 aligns them
         (delta_atom = delta_cavity along the scan).
     policy : BranchPolicy
-        Branch selection. "follow_sweep" orders the grid by policy.direction
+        Branch selection. "follow_sweep" sweeps the grid in the order given
         and continues the branch each bistable run enters on: the outer root
         nearest the intensity before the run. Every policy reports only
         stable roots, G'(u) > 0.

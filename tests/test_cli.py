@@ -11,9 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringcav import cli, errors, fitting, io, thermal
+from ringcav import steady_state as ss
 from ringcav.cli import main
 from ringcav.errors import DegenerateFit
-from ringcav.params import SECTION_KEYS
+from ringcav.params import SECTION_KEYS, params_from_dict
 
 
 @pytest.fixture()
@@ -52,6 +53,31 @@ def test_spectrum_seed_reproducible(runner, tmp_path, monkeypatch):
     c = (tmp_path / "c.csv").read_bytes()
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("args", [["--atom-offset-mhz", "6", "--points", "6001"],
+                                  ["--span-mhz", "-40", "--atom-offset-mhz", "6",
+                                   "--points", "2001"]])
+def test_follow_down_is_a_follow_sweep_of_the_grid_reversed(runner, tmp_path, monkeypatch, args):
+    # C = 5 at 10 nW is bistable near resonance, and a 6 MHz atom offset makes
+    # the two sweeps differ; a negative span, a descending grid, sweeps down
+    # for follow-up and up for follow-down
+    monkeypatch.chdir(tmp_path)
+    for branch in ("follow-up", "follow-down"):
+        runner.invoke(main, ["spectrum", "--cooperativity", "5", "--power-w", "1e-8", *args,
+                             "--branch", branch, "--output", f"{branch}.csv"],
+                      catch_exceptions=False)
+    r = io.read_json("follow-down.csv.manifest.json")["resolved"]
+    cavity, ensemble, drive = params_from_dict(r["doc"])
+    half = r["span_mhz"] / 2.0
+    grid = np.linspace(r["center_mhz"] - half, r["center_mhz"] + half, r["points"])
+    t = ss.spectrum(grid[::-1] * 1e6, cavity, ensemble, drive,
+                    atom_offset_hz=r["atom_offset_mhz"] * 1e6,
+                    policy=ss.BranchPolicy("follow_sweep"))[::-1]
+    io.write_spectrum_csv("want.csv", grid, t)
+    down = (tmp_path / "follow-down.csv").read_bytes()
+    assert down == (tmp_path / "want.csv").read_bytes()
+    assert down != (tmp_path / "follow-up.csv").read_bytes()
 
 
 def test_spectrum_conflicting_drive_exits_2(runner, tmp_path, monkeypatch):
@@ -619,29 +645,45 @@ def test_spectrum_in_the_weak_limit_refuses_an_overflowing_atom_term(runner, tmp
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("source", ["option", "params", "rerun"])
-def test_spectrum_y_whose_square_overflows_exits_2(runner, tmp_path, monkeypatch, source):
+@pytest.mark.parametrize("command, name, value, source", [
     # y**2 in steady_state.drive_y2 would raise OverflowError
+    *(("spectrum", "y", 1.4e154, source) for source in ("option", "params", "rerun")),
+    # a power's y**2 overflowed to inf and failed the solver's input check, exit 3;
+    # 1e290 W would be about 5.4e299 in y**2, but the photon flux on the way overflows
+    *(("spectrum", "input_power_w", power, source)
+      for power in (1e290, 1e300) for source in ("option", "params", "rerun")),
+    # numpy also warned of the overflow first
+    *(("saturation", "pmax_w", 1e300, source) for source in ("option", "rerun")),
+])
+def test_drive_whose_square_overflows_exits_2(runner, tmp_path, monkeypatch, manifests,
+                                              command, name, value, source):
     monkeypatch.chdir(tmp_path)
-    if source == "option":
-        args = ["spectrum", "--y", "1.4e154"]
-    elif source == "params":
-        (tmp_path / "p.json").write_text(json.dumps({"drive": {"y": 1.4e154}}))
-        args = ["spectrum", "--params", "p.json"]
+    if name == "y":
+        message = (f"y must be <= MAX_Y={1.3407807929942596e154!r}, where y**2 is finite, "
+                   f"got {value!r}")
     else:
-        runner.invoke(main, ["spectrum", "--points", "11", "--y", "0.5", "--output", "s.csv"],
-                      catch_exceptions=False)
-        manifest = io.read_json("s.csv.manifest.json")
-        manifest["resolved"]["doc"]["drive"]["y"] = 1.4e154
+        message = f"{name} {value!r} gives a drive y**2 that is not finite"
+    if source == "option":
+        option = next(p.opts[0] for p in main.commands[command].params if p.name == name)
+        args = [command, option, repr(value), "--points", "5"]
+    elif source == "params":
+        (tmp_path / "p.json").write_text(json.dumps({"drive": {name: value}}))
+        args = [command, "--params", "p.json", "--points", "5"]
+    else:
+        manifest = copy.deepcopy(manifests[command])
+        if command == "spectrum":
+            manifest["resolved"]["doc"]["drive"] = {name: value}
+        else:
+            manifest["resolved"][name] = value
         (tmp_path / "m.json").write_text(json.dumps(manifest))
-        (tmp_path / "s.csv").unlink()
         args = ["rerun", "m.json"]
-    result = runner.invoke(main, args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == (f"error: y must be <= MAX_Y={1.3407807929942596e154!r}, where "
-                             f"y**2 is finite, got 1.4e+154\n")
-    assert not (tmp_path / "s.csv").exists()
+    assert result.stderr == f"error: {message}\n"
+    assert {p.name for p in tmp_path.iterdir()} <= {"m.json", "p.json"}
 
 
 @pytest.mark.parametrize("slot, value", [("fixed", "fsr_mhz"), ("init", "finesse")])
@@ -707,6 +749,30 @@ def test_report_bundles_outputs(runner, tmp_path, monkeypatch):
     assert "g_eff_mhz" in summary
     assert "n_eff" in summary
     assert (tmp_path / "rep" / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command, edit", [
+    # each exited 1 with a traceback: IndexError, TypeError and TypeError
+    pytest.param("lock", lambda manifest: manifest.update(outputs=[]), id="lock-no-outputs"),
+    pytest.param("lock", lambda manifest: io.write_json("out_metrics.json", {"dwell_s": None}),
+                 id="lock-null-metric"),
+    pytest.param("empty-cavity", lambda manifest: io.write_json("out", [1, 2]),
+                 id="empty-cavity-list"),
+])
+def test_report_skips_an_output_it_cannot_read(runner, tmp_path, monkeypatch, command, edit):
+    monkeypatch.chdir(tmp_path)
+    args = {"lock": ["--duration-s", "0.05"], "empty-cavity": ["--points", "301"]}[command]
+    runner.invoke(main, [command, *args, "--output", "out"], catch_exceptions=False)
+    manifest = io.read_json("out.manifest.json")
+    edit(manifest)
+    io.write_json("m.json", manifest)
+    result = runner.invoke(main, ["report", "m.json", "--output-dir", "rep"])
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / "rep" / "summary.txt").read_text().splitlines()
+    doc_rows = ["finesse", "fwhm_mhz", "splitting_estimate_mhz", "g_eff_mhz", "n_eff"]
+    assert [line.split()[0] for line in lines[1:]] == (
+        (doc_rows if command == "lock" else [])
+        + ["bundled"] * len(manifest["outputs"]))
 
 
 def test_report_requires_manifests(runner, tmp_path, monkeypatch):

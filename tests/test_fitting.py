@@ -117,6 +117,10 @@ def test_model_failure_wrapped(weak_spectrum_grid, spectrum_spec):
     with pytest.raises(ModelEvaluationFailed):
         fitting.objective(data, spectrum_spec,
                           {"cooperativity": 1.0, "gamma_perp_mhz": 1.0})
+    # synthesis takes its curve from the same evaluation
+    with pytest.raises(ModelEvaluationFailed):
+        fitting.generate_synthetic(spectrum_spec, weak_spectrum_grid,
+                                   {"cooperativity": 1.0, "gamma_perp_mhz": 1.0})
 
 
 def test_noise_free_roundtrip_is_fixed_point(weak_spectrum_grid, spectrum_spec):

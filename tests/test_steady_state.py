@@ -16,6 +16,8 @@ finite_drives = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 coops = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 detunings = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
+_FOLLOW = ss.BranchPolicy("follow_sweep")
+
 
 # ------------------------------------------------------------- cubic roots
 
@@ -269,19 +271,20 @@ def test_branch_policy_selects_extremes():
 
 def test_follow_sweep_hysteresis(cavity, ensemble):
     # strong on-resonance drive over a bistable ensemble: up and down sweeps
-    # disagree somewhere inside the bistable window
+    # disagree somewhere inside the bistable window; the down sweep is the
+    # grid reversed
     from dataclasses import replace
 
     ens = replace(ensemble, cooperativity=4.771)
     drv = DriveParams(y=6.0)
     grid = np.linspace(-30e6, 30e6, 1201)
-    up = ss.spectrum(grid, cavity, ens, drv, policy=ss.BranchPolicy("follow_sweep", "up"))
-    down = ss.spectrum(grid, cavity, ens, drv, policy=ss.BranchPolicy("follow_sweep", "down"))
+    up = ss.spectrum(grid, cavity, ens, drv, policy=_FOLLOW)
+    down = ss.spectrum(grid[::-1], cavity, ens, drv, policy=_FOLLOW)[::-1]
     assert np.max(np.abs(up - down)) > 1e-3
 
 
-def _follow_per_point(roots, counts, direction):
-    """Branch continuation visited point by point in sweep order.
+def _follow_per_point(roots, counts):
+    """Branch continuation visited point by point in index order, the sweep's.
 
     A one-root point takes its root. A three-root point after a one-root
     point enters the highest branch if that root is strictly nearer the last
@@ -289,10 +292,9 @@ def _follow_per_point(roots, counts, direction):
     after it with three roots stay on that branch.
     """
     n = len(counts)
-    order = range(n) if direction == "up" else range(n - 1, -1, -1)
     u = np.empty(n)
     prev = branch = None
-    for i in order:
+    for i in range(n):
         avail = roots[i, : counts[i]]
         if len(avail) == 1:
             branch = None
@@ -306,24 +308,23 @@ def _follow_per_point(roots, counts, direction):
 
 @settings(max_examples=40, deadline=None)
 @given(c=st.floats(3.0, 8.0), power_nw=st.floats(5.0, 30.0),
-       offset_mhz=st.floats(-8.0, 8.0), direction=st.sampled_from(["up", "down"]))
-def test_follow_walk_matches_per_point_walk(cavity, ensemble, c, power_nw, offset_mhz,
-                                            direction):
+       offset_mhz=st.floats(-8.0, 8.0), sweep=st.sampled_from([1, -1]))
+def test_follow_walk_matches_per_point_walk(cavity, ensemble, c, power_nw, offset_mhz, sweep):
     from dataclasses import replace
 
+    # sweep -1 is a down sweep: the grid descends
     ens = replace(ensemble, cooperativity=c)
     drv = DriveParams(input_power=power_nw * 1e-9)
     offset_hz = offset_mhz * 1e6
-    grid = np.linspace(-30e6, 30e6, 3001)
+    grid = np.linspace(-30e6, 30e6, 3001)[::sweep]
     omega = TWO_PI * grid
     dc, da = omega / cavity.kappa, (omega - TWO_PI * offset_hz) / ens.gamma_perp
     y2 = ss.drive_y2(drv, cavity, ens.n_sat)
     roots, counts = ss._roots_grid(np.full_like(grid, y2), dc, da, c)
     assume(counts.max() > 1)  # bistable somewhere on the grid
-    policy = ss.BranchPolicy("follow_sweep", direction)
-    want = _follow_per_point(roots, counts, direction)
-    assert np.array_equal(ss.select_branch(roots, counts, policy), want)
-    t = ss.spectrum(grid, cavity, ens, drv, atom_offset_hz=offset_hz, policy=policy)
+    want = _follow_per_point(roots, counts)
+    assert np.array_equal(ss.select_branch(roots, counts, _FOLLOW), want)
+    t = ss.spectrum(grid, cavity, ens, drv, atom_offset_hz=offset_hz, policy=_FOLLOW)
     assert np.array_equal(t, ss._transmission_from_u(want, dc, da, c, cavity.kappa_ratio))
 
 
@@ -336,36 +337,38 @@ def test_follow_walk_at_the_grid_ends():
     roots = np.array([[1.0, 2.75, 3.75], [0.25, 1.25, 3.25], [2.75, nan, nan],
                       [0.5, 1.75, 4.0], [1.5, 2.0, 3.5]])
     counts = np.array([3, 3, 1, 3, 3])
-    want = {"up": [1.0, 0.25, 2.75, 4.0, 3.5], "down": [3.75, 3.25, 2.75, 0.5, 1.5]}
+    # the down sweep walks the rows reversed
+    want = {1: [1.0, 0.25, 2.75, 4.0, 3.5], -1: [1.5, 0.5, 2.75, 3.25, 3.75]}
     tie = np.array([[2.0, nan, nan], [1.0, 2.0, 3.0]]), np.array([1, 3])
-    for direction in ("up", "down"):
-        policy = ss.BranchPolicy("follow_sweep", direction)
-        assert np.array_equal(ss.select_branch(roots, counts, policy), want[direction])
-        assert np.array_equal(_follow_per_point(roots, counts, direction), want[direction])
-    assert np.array_equal(ss.select_branch(*tie, ss.BranchPolicy("follow_sweep")), [2.0, 1.0])
-    assert np.array_equal(_follow_per_point(*tie, "up"), [2.0, 1.0])
+    for sweep in (1, -1):
+        rows = roots[::sweep], counts[::sweep]
+        assert np.array_equal(ss.select_branch(*rows, _FOLLOW), want[sweep])
+        assert np.array_equal(_follow_per_point(*rows), want[sweep])
+    assert np.array_equal(ss.select_branch(*tie, _FOLLOW), [2.0, 1.0])
+    assert np.array_equal(_follow_per_point(*tie), [2.0, 1.0])
 
 
-_POLICIES = [ss.LOWEST, ss.HIGHEST, ss.BranchPolicy("follow_sweep", "up"),
-             ss.BranchPolicy("follow_sweep", "down")]
+#: each policy with the order its grid is swept in, 1 (ascending) or -1
+_POLICIES = [(ss.LOWEST, 1), (ss.HIGHEST, 1), (_FOLLOW, 1), (_FOLLOW, -1)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(points=st.integers(5, 401), c=st.floats(0.0, 10.0),
        power_w=st.floats(-12.0, np.log10(30e-9)).map(lambda e: 10.0 ** e),
-       offset_mhz=st.floats(-8.0, 8.0), policy=st.sampled_from(_POLICIES))
+       offset_mhz=st.floats(-8.0, 8.0), policy_sweep=st.sampled_from(_POLICIES))
 # a coarse follow-up sweep that the nearest-root walk put on the middle root
 # at 14 of its 24 bistable points
-@example(points=101, c=6.98, power_w=16.9e-9, offset_mhz=-4.79, policy=_POLICIES[2])
+@example(points=101, c=6.98, power_w=16.9e-9, offset_mhz=-4.79, policy_sweep=_POLICIES[2])
 def test_every_policy_reports_stable_roots(cavity, ensemble, points, c, power_w, offset_mhz,
-                                           policy):
+                                           policy_sweep):
     from dataclasses import replace
 
     # at a three-root point the middle root has G'(u) < 0: the unstable branch
+    policy, sweep = policy_sweep
     ens = replace(ensemble, cooperativity=c)
     drv = DriveParams(input_power=power_w)
     offset_hz = offset_mhz * 1e6
-    grid = np.linspace(-20e6, 20e6, points)
+    grid = np.linspace(-20e6, 20e6, points)[::sweep]
     omega = TWO_PI * grid
     dc, da = omega / cavity.kappa, (omega - TWO_PI * offset_hz) / ens.gamma_perp
     y2 = ss.drive_y2(drv, cavity, ens.n_sat)
@@ -408,13 +411,15 @@ def test_blocked_solve_matches_row_by_row(cavity, ensemble, monkeypatch, rows):
         one_pass = ss._roots_grid(y2, dc, da, 5.0)
     assert np.array_equal(one_pass[0], roots, equal_nan=True)
     assert np.array_equal(one_pass[1], counts)
-    for policy in _POLICIES:
+    for policy, sweep in _POLICIES:
+        swept = one_pass[0][::sweep], one_pass[1][::sweep]
         if policy.mode == "follow_sweep":
-            u = _follow_per_point(*one_pass, policy.direction)
+            u = _follow_per_point(*swept)
         else:
-            u = ss.select_branch(*one_pass, policy)
-        t = ss.spectrum(grid, cavity, ens, drv, policy=policy)
-        assert np.array_equal(t, ss._transmission_from_u(u, dc, da, 5.0, cavity.kappa_ratio))
+            u = ss.select_branch(*swept, policy)
+        t = ss.spectrum(grid[::sweep], cavity, ens, drv, policy=policy)
+        assert np.array_equal(t, ss._transmission_from_u(u, dc[::sweep], da[::sweep], 5.0,
+                                                         cavity.kappa_ratio))
 
 
 def test_certification_failures_across_blocks_are_reported_once():
